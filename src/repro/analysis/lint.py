@@ -94,7 +94,17 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Z0-9,\s]+)\])?")
 
@@ -405,112 +415,6 @@ class WallClockRule(LintRule):
 
 
 @register
-class AdHocParallelismRule(LintRule):
-    """RPR008: multiprocessing/concurrent.futures outside repro/runtime.
-
-    Process pools spun up outside the runtime layer dispatch work without
-    pre-spawned per-unit seeds, so their results depend on scheduling and
-    are no longer bit-identical to a serial run.  All fan-out must go
-    through ``repro.runtime.Executor``; only ``repro/runtime`` itself may
-    touch the stdlib parallelism modules."""
-
-    code = "RPR008"
-
-    _BANNED_ROOTS = frozenset({"multiprocessing", "concurrent"})
-
-    @staticmethod
-    def _exempt(path: str) -> bool:
-        parts = Path(path).parts
-        return any(
-            part == "repro" and parts[i + 1] == "runtime"
-            for i, part in enumerate(parts[:-1])
-        )
-
-    def _msg(self, module: str) -> str:
-        return (
-            f"import of {module} outside repro/runtime; dispatch work "
-            f"through a repro.runtime.Executor so parallel runs stay "
-            f"bit-identical to serial ones"
-        )
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        if self._exempt(path):
-            return
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] in self._BANNED_ROOTS:
-                        yield self.finding(path, node, self._msg(alias.name))
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                root = (node.module or "").split(".")[0]
-                if root in self._BANNED_ROOTS:
-                    yield self.finding(
-                        path, node, self._msg(node.module or root)
-                    )
-
-
-@register
-class RuntimeConstructionRule(LintRule):
-    """RPR009: executor/cache construction outside runtime+orchestration.
-
-    The orchestration layer injects the executor and content cache once
-    per stage; any other layer constructing them directly creates a
-    second, unaccounted runtime whose cache traffic and worker shape
-    never reach the provenance records.  Only ``repro/runtime`` (the
-    implementation) and ``repro/orchestration`` (the injection point)
-    may call the constructors."""
-
-    code = "RPR009"
-
-    _BANNED_CALLS = frozenset(
-        {
-            "SerialExecutor",
-            "ParallelExecutor",
-            "SupervisedExecutor",
-            "supervised_map",
-            "make_executor",
-            "ContentCache",
-            "feature_map_cache",
-            "checkpoint_cache",
-            "serving_model_cache",
-        }
-    )
-    _EXEMPT_PACKAGES = ("runtime", "orchestration")
-
-    @classmethod
-    def _exempt(cls, path: str) -> bool:
-        parts = Path(path).parts
-        return any(
-            part == "repro" and parts[i + 1] in cls._EXEMPT_PACKAGES
-            for i, part in enumerate(parts[:-1])
-        )
-
-    @staticmethod
-    def _call_name(node: ast.Call) -> Optional[str]:
-        if isinstance(node.func, ast.Name):
-            return node.func.id
-        if isinstance(node.func, ast.Attribute):
-            return node.func.attr
-        return None
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        if self._exempt(path):
-            return
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and self._call_name(node) in self._BANNED_CALLS
-            ):
-                yield self.finding(
-                    path,
-                    node,
-                    f"direct {self._call_name(node)}() outside repro/runtime "
-                    f"and repro/orchestration; accept an Executor/cache_dir "
-                    f"or inject via repro.orchestration.context",
-                )
-
-
-@register
 class SilentExceptionSwallowRule(LintRule):
     """RPR018: broad except clauses that silently swallow the error.
 
@@ -565,183 +469,230 @@ class SilentExceptionSwallowRule(LintRule):
                 )
 
 
-@register
-class RawLoopTensorMathRule(LintRule):
-    """RPR019: raw-loop tensor math in repro/nn outside the backends package.
+# -- confinement rules ---------------------------------------------------
+#
+# Five rules share one shape: a pattern that is legal only inside certain
+# sub-paths of the ``repro`` package.  Each is one row of CONFINEMENTS;
+# the rationale for each lives in the module docstring above.
 
-    Inner loops over matrix products are exactly what the pluggable
-    backend layer exists to own (workspace reuse, batched BPTT, dtype
-    policy).  A ``@`` / ``np.dot`` / ``einsum`` / ``as_strided`` inside
-    a ``for``/``while`` loop anywhere else under ``repro/nn`` is a
-    kernel escaping the backend — it will never see those optimizations
-    and splits the hot path across layers again."""
 
-    code = "RPR019"
-
-    _TENSOR_CALLS = frozenset(
-        {"dot", "matmul", "einsum", "tensordot", "as_strided"}
-    )
-
-    @staticmethod
-    def _in_scope(path: str) -> bool:
-        parts = Path(path).parts
-        for i, part in enumerate(parts[:-1]):
-            if part == "repro" and parts[i + 1] == "nn":
-                return "backends" not in parts[i + 2 :]
-        return False
-
-    def _tensor_op(self, node: ast.AST) -> Optional[str]:
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
-            return "@"
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            elif isinstance(node.func, ast.Name):
-                name = node.func.id
-            else:
-                return None
-            if name in self._TENSOR_CALLS:
-                return f"{name}()"
+def _call_name(node: ast.AST) -> Optional[str]:
+    """The called name of ``f(...)`` / ``obj.f(...)``; None otherwise."""
+    if not isinstance(node, ast.Call):
         return None
+    if isinstance(node.func, ast.Name):
+        return node.func.id
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    return None
 
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        if not self._in_scope(path):
-            return
-        seen: set = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.For, ast.While)):
+
+Matches = Iterator[Tuple[ast.AST, str]]
+
+_PARALLEL_ROOTS = frozenset({"multiprocessing", "concurrent"})
+_RUNTIME_CONSTRUCTORS = frozenset(
+    {
+        "SerialExecutor",
+        "ParallelExecutor",
+        "SupervisedExecutor",
+        "supervised_map",
+        "make_executor",
+        "ContentCache",
+        "feature_map_cache",
+        "checkpoint_cache",
+        "serving_model_cache",
+    }
+)
+_TENSOR_CALLS = frozenset({"dot", "matmul", "einsum", "tensordot", "as_strided"})
+_INFERENCE_ATTRS = frozenset({"predict", "predict_classes", "forward", "forward_many"})
+_STREAM_METHODS = frozenset({"iter_subjects", "iter_chunks"})
+_MATERIALIZERS = frozenset({"list", "tuple", "sorted", "set"})
+
+
+def _parallel_imports(tree: ast.Module) -> Matches:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in _PARALLEL_ROOTS:
+                    yield node, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] in _PARALLEL_ROOTS:
+                yield node, node.module
+
+
+def _runtime_constructions(tree: ast.Module) -> Matches:
+    for node in ast.walk(tree):
+        name = _call_name(node)
+        if name in _RUNTIME_CONSTRUCTORS:
+            yield node, name
+
+
+def _looped_tensor_math(tree: ast.Module) -> Matches:
+    seen: set = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            name = _call_name(node)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                op = "@"
+            elif name in _TENSOR_CALLS:
+                op = f"{name}()"
+            else:
                 continue
-            for inner in ast.walk(node):
-                op = self._tensor_op(inner)
-                if op is not None and id(inner) not in seen:
-                    seen.add(id(inner))
-                    yield self.finding(
-                        path,
-                        inner,
-                        f"tensor math ({op}) inside a loop outside "
-                        f"repro/nn/backends; move the kernel into a "
-                        f"ComputeBackend so the hot path stays pluggable",
-                    )
+            if id(node) not in seen:
+                seen.add(id(node))
+                yield node, op
 
 
-@register
-class ServingBatchBypassRule(LintRule):
-    """RPR020: per-request inference in repro/serving outside batching.
+def _direct_inference(tree: ast.Module) -> Matches:
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _INFERENCE_ATTRS
+        ):
+            yield node, node.func.attr
 
-    The serving micro-batcher is the only sanctioned inference path of
-    the serving layer: it buckets requests by feature shape and runs
-    them through ``Sequential.predict_many`` on canonical fixed-row
-    slabs, which is what makes batched results bit-identical to
-    sequential ones.  A direct ``.predict()`` / ``.forward()`` anywhere
-    else under ``repro/serving`` bypasses both the request coalescing
-    (the throughput contract) and the canonical execution shape (the
-    determinism contract) — route the request through the batcher."""
 
-    code = "RPR020"
-
-    _BANNED_ATTRS = frozenset(
-        {"predict", "predict_classes", "forward", "forward_many"}
-    )
-
-    @staticmethod
-    def _in_scope(path: str) -> bool:
-        parts = Path(path).parts
-        for i, part in enumerate(parts[:-1]):
-            if part == "repro" and parts[i + 1] == "serving":
-                return Path(path).stem != "batching"
-        return False
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        if not self._in_scope(path):
-            return
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._BANNED_ATTRS
-            ):
-                yield self.finding(
-                    path,
-                    node,
-                    f"direct .{node.func.attr}() in repro/serving outside "
-                    f"the batching module bypasses the micro-batcher's "
-                    f"canonical slab execution; submit the request to the "
-                    f"MicroBatcher instead",
+def _population_drains(tree: ast.Module) -> Matches:
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in _MATERIALIZERS
+            and node.args
+        ):
+            name = _call_name(node.args[0])
+            if name in _STREAM_METHODS:
+                yield node, (
+                    f"{node.func.id}({name}()) materializes the whole "
+                    f"streamed population"
                 )
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
+            for gen in node.generators:
+                name = _call_name(gen.iter)
+                if name in _STREAM_METHODS:
+                    yield node, f"comprehension drains {name}() into memory"
 
 
-@register
-class PopulationMaterializationRule(LintRule):
-    """RPR021: whole-population materialization outside repro/scenarios.
+@dataclass(frozen=True)
+class Confinement:
+    """One confinement rule: a pattern allowed only in some sub-paths.
 
-    ``iter_subjects()`` / ``iter_chunks()`` are the streaming population
-    contract: consumers see one bounded chunk at a time, which is what
-    keeps a 100k-subject run's peak memory proportional to the chunk
-    size.  Wrapping the stream in ``list()`` (or ``tuple`` / ``sorted``
-    / ``set``, or draining it through a comprehension) silently
-    re-materializes the whole population — legal only inside
-    ``repro/scenarios``, where the sanctioned adapters
-    (``population_records`` / ``base_corpus`` / ``materialize``) do it
-    deliberately at validation scale."""
+    The rule watches every file (``package`` None) or only files under
+    ``repro/<package>``; ``allowed`` names the entries directly below
+    that root (``repro/`` or ``repro/<package>/``) where the pattern is
+    sanctioned.  ``match`` yields ``(node, detail)`` pairs and each
+    finding's message is ``message.format(detail)``.
+    """
 
-    code = "RPR021"
+    code: str
+    description: str
+    package: Optional[str]
+    allowed: Tuple[str, ...]
+    match: Callable[[ast.Module], Matches]
+    message: str
 
-    _STREAM_METHODS = frozenset({"iter_subjects", "iter_chunks"})
-    _MATERIALIZERS = frozenset({"list", "tuple", "sorted", "set"})
-
-    @staticmethod
-    def _exempt(path: str) -> bool:
+    def watches(self, path: str) -> bool:
+        """True if the rule applies to ``path`` (watched, not allowed)."""
         parts = Path(path).parts
-        return any(
-            part == "repro" and parts[i + 1] == "scenarios"
-            for i, part in enumerate(parts[:-1])
-        )
+        root = ("repro",) if self.package is None else ("repro", self.package)
+        heads = [
+            parts[i + len(root)]
+            for i in range(len(parts) - len(root))
+            if parts[i : i + len(root)] == root
+        ]
+        if self.package is not None and not heads:
+            return False
+        return not any(head in self.allowed for head in heads)
 
-    @classmethod
-    def _stream_call(cls, node: ast.AST) -> Optional[str]:
-        """If ``node`` calls ``iter_subjects``/``iter_chunks``, its name."""
-        if not isinstance(node, ast.Call):
-            return None
-        if isinstance(node.func, ast.Attribute):
-            name = node.func.attr
-        elif isinstance(node.func, ast.Name):
-            name = node.func.id
-        else:
-            return None
-        return name if name in cls._STREAM_METHODS else None
+
+CONFINEMENTS: Tuple[Confinement, ...] = (
+    Confinement(
+        code="RPR008",
+        description="multiprocessing/concurrent.futures outside repro/runtime.",
+        package=None,
+        allowed=("runtime",),
+        match=_parallel_imports,
+        message=(
+            "import of {} outside repro/runtime; dispatch work through a "
+            "repro.runtime.Executor so parallel runs stay bit-identical to "
+            "serial ones"
+        ),
+    ),
+    Confinement(
+        code="RPR009",
+        description="executor/cache construction outside runtime+orchestration.",
+        package=None,
+        allowed=("runtime", "orchestration"),
+        match=_runtime_constructions,
+        message=(
+            "direct {}() outside repro/runtime and repro/orchestration; "
+            "accept an Executor/cache_dir or inject via "
+            "repro.orchestration.context"
+        ),
+    ),
+    Confinement(
+        code="RPR019",
+        description="raw-loop tensor math in repro/nn outside the backends package.",
+        package="nn",
+        allowed=("backends",),
+        match=_looped_tensor_math,
+        message=(
+            "tensor math ({}) inside a loop outside repro/nn/backends; move "
+            "the kernel into a ComputeBackend so the hot path stays pluggable"
+        ),
+    ),
+    Confinement(
+        code="RPR020",
+        description="per-request inference in repro/serving outside batching.",
+        package="serving",
+        allowed=("batching.py",),
+        match=_direct_inference,
+        message=(
+            "direct .{}() in repro/serving outside the batching module "
+            "bypasses the micro-batcher's canonical slab execution; submit "
+            "the request to the MicroBatcher instead"
+        ),
+    ),
+    Confinement(
+        code="RPR021",
+        description="whole-population materialization outside repro/scenarios.",
+        package=None,
+        allowed=("scenarios",),
+        match=_population_drains,
+        message=(
+            "{} outside repro/scenarios; iterate the stream in bounded "
+            "chunks or use repro.scenarios.population_records/base_corpus"
+        ),
+    ),
+)
+
+
+class ConfinementRule(LintRule):
+    """Base of the rules built from :data:`CONFINEMENTS`."""
+
+    row: Confinement
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        if self._exempt(path):
-            return
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id in self._MATERIALIZERS
-                and node.args
-            ):
-                name = self._stream_call(node.args[0])
-                if name is not None:
-                    yield self.finding(
-                        path,
-                        node,
-                        f"{node.func.id}({name}()) materializes the whole "
-                        f"streamed population outside repro/scenarios; "
-                        f"iterate the stream in bounded chunks or use "
-                        f"repro.scenarios.population_records/base_corpus",
-                    )
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
-                for gen in node.generators:
-                    name = self._stream_call(gen.iter)
-                    if name is not None:
-                        yield self.finding(
-                            path,
-                            node,
-                            f"comprehension drains {name}() into memory "
-                            f"outside repro/scenarios; iterate the stream "
-                            f"in bounded chunks or use "
-                            f"repro.scenarios.population_records/base_corpus",
-                        )
+        if self.row.watches(path):
+            for node, detail in self.row.match(tree):
+                yield self.finding(path, node, self.row.message.format(detail))
+
+
+for _row in CONFINEMENTS:
+    register(
+        type(
+            f"Confinement{_row.code}",
+            (ConfinementRule,),
+            {
+                "code": _row.code,
+                "row": _row,
+                "__doc__": f"{_row.code}: {_row.description}",
+            },
+        )
+    )
 
 
 # -- engine --------------------------------------------------------------

@@ -38,7 +38,6 @@ from .streaming import (
     Detection,
     OnlineDetector,
     RingBuffer,
-    RollingWindowMap,
     StreamingFeatureExtractor,
     WindowEvent,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "battery_life_hours",
     "compare_devices",
     "RingBuffer",
-    "RollingWindowMap",
     "StreamingFeatureExtractor",
     "OnlineDetector",
     "WindowEvent",

@@ -14,8 +14,9 @@ all incrementally.  This module provides that runtime:
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -28,10 +29,11 @@ from ..resilience.degradation import (
     DegradationController,
     DegradationPolicy,
     HealthStatus,
+    MajorityVote,
     safe_probabilities,
 )
 from ..resilience.guards import quality_gate
-from ..signals.feature_map import FeatureMap
+from ..signals.feature_map import FeatureMap, maps_to_arrays
 from ..signals.features import FeatureExtractor, SensorRates
 
 
@@ -141,14 +143,14 @@ class StreamingFeatureExtractor:
             "gsr": RingBuffer(int(self.window_seconds * r.gsr)),
             "skt": RingBuffer(int(self.window_seconds * r.skt)),
         }
-        self._rates = {"bvp": r.bvp, "gsr": r.gsr, "skt": r.skt}
+        self.channel_rates = {"bvp": r.bvp, "gsr": r.gsr, "skt": r.skt}
         self._emitted = 0
         self._next_emit_time = self.window_seconds
 
     @property
     def stream_time(self) -> float:
         """Seconds of signal consumed so far (per the BVP channel)."""
-        return self._buffers["bvp"].total_seen / self._rates["bvp"]
+        return self._buffers["bvp"].total_seen / self.channel_rates["bvp"]
 
     def push(
         self,
@@ -156,109 +158,88 @@ class StreamingFeatureExtractor:
         gsr: Sequence[float] = (),
         skt: Sequence[float] = (),
     ) -> List[WindowEvent]:
-        """Feed new samples; returns feature vectors that became ready."""
-        self._buffers["bvp"].append(bvp)
-        self._buffers["gsr"].append(gsr)
-        self._buffers["skt"].append(skt)
+        """Feed new samples; returns feature vectors that became ready.
 
+        A push spanning several hops is replayed hop by hop: every
+        window but the push's last ends at its own hop boundary, so a
+        bulk push emits the same windows as hop-sized pushes.  The last
+        window sees every pushed sample, as a single-hop push does.
+        """
+        pending = {
+            "bvp": np.asarray(bvp, dtype=np.float64).ravel(),
+            "gsr": np.asarray(gsr, dtype=np.float64).ravel(),
+            "skt": np.asarray(skt, dtype=np.float64).ravel(),
+        }
         events: List[WindowEvent] = []
-        while self._ready():
-            window = {name: buf.latest() for name, buf in self._buffers.items()}
-            vector: Optional[np.ndarray] = None
-            error: Optional[str] = None
-            try:
-                vector = self.extractor.extract_window(
-                    window["bvp"], window["gsr"], window["skt"]
-                )
-            except Exception as exc:
-                # Corrupt samples (NaN bursts, flatlines) can break the
-                # DSP internals; with capture_errors the failure becomes
-                # a gated window instead of a raw traceback.
-                if not self.capture_errors:
-                    raise
-                error = f"{type(exc).__name__}: {exc}"
-            events.append(
-                WindowEvent(
-                    index=self._emitted,
-                    features=vector,
-                    signals=window,
-                    error=error,
-                )
+        while True:
+            backlog = all(
+                pending[name].size >= self._due(name, hops=1)
+                for name in self._buffers
             )
-            self._emitted += 1
-            self._next_emit_time += self.hop_seconds
-        return events
+            for name, buf in self._buffers.items():
+                take = pending[name].size
+                if backlog:
+                    take = min(max(self._due(name), 0), take)
+                buf.append(pending[name][:take])
+                pending[name] = pending[name][take:]
+            if not self._ready():
+                return events
+            events.append(self._emit())
+
+    def _emit(self) -> WindowEvent:
+        window = {name: buf.latest() for name, buf in self._buffers.items()}
+        vector: Optional[np.ndarray] = None
+        error: Optional[str] = None
+        try:
+            vector = self.extractor.extract_window(
+                window["bvp"], window["gsr"], window["skt"]
+            )
+        except Exception as exc:
+            # Corrupt samples (NaN bursts, flatlines) can break the
+            # DSP internals; with capture_errors the failure becomes
+            # a gated window instead of a raw traceback.
+            if not self.capture_errors:
+                raise
+            error = f"{type(exc).__name__}: {exc}"
+        event = WindowEvent(
+            index=self._emitted, features=vector, signals=window, error=error
+        )
+        self._emitted += 1
+        self._next_emit_time += self.hop_seconds
+        return event
+
+    def _due(self, name: str, hops: int = 0) -> int:
+        """Samples channel ``name`` still needs to reach an emission time.
+
+        ``hops=0`` is the next emission, ``hops=1`` the one after it.
+        """
+        time = self._next_emit_time + hops * self.hop_seconds
+        needed = math.ceil((time - 1e-9) * self.channel_rates[name])
+        return needed - self._buffers[name].total_seen
 
     def _ready(self) -> bool:
-        if not all(buf.full for buf in self._buffers.values()):
-            return False
-        # Every channel must have advanced past the next emission time.
-        times = [
-            buf.total_seen / self._rates[name]
+        # Every channel must hold a full window and have advanced past
+        # the next emission time.
+        return all(
+            buf.full and self._due(name) <= 0
             for name, buf in self._buffers.items()
-        ]
-        return min(times) >= self._next_emit_time - 1e-9
-
-
-class RollingWindowMap:
-    """The last W window vectors as a rolling ``F x W`` feature map.
-
-    The unit of inference everywhere in this codebase is a feature map
-    of ``windows_per_map`` consecutive window vectors; this class owns
-    the rolling-deque bookkeeping that turns a stream of vectors into
-    such maps.  Shared by :class:`OnlineDetector` (on-device runtime)
-    and :class:`repro.serving.sessions.UserSession` (fleet serving),
-    so both produce byte-identical maps from the same vector stream.
-    """
-
-    def __init__(self, windows_per_map: int):
-        if windows_per_map < 1:
-            raise ValueError("windows_per_map must be >= 1")
-        self.windows_per_map = int(windows_per_map)
-        self._vectors: Deque[np.ndarray] = deque(maxlen=self.windows_per_map)
-
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-    @property
-    def ready(self) -> bool:
-        """True once a full map's worth of windows has accumulated."""
-        return len(self._vectors) == self.windows_per_map
-
-    def push(self, vector: np.ndarray) -> bool:
-        """Append one window vector; returns :attr:`ready`."""
-        self._vectors.append(vector)
-        return self.ready
-
-    def current_map(self) -> FeatureMap:
-        """The rolling map (newest W windows, oldest first)."""
-        if not self.ready:
-            raise ValueError(
-                f"rolling map has {len(self._vectors)} of "
-                f"{self.windows_per_map} windows"
-            )
-        values = np.stack(list(self._vectors), axis=1)  # (F, W)
-        return FeatureMap(values, label=0, subject_id=-1)
-
-    def clear(self) -> None:
-        self._vectors.clear()
+        )
 
 
 @dataclass
 class Detection:
     """One smoothed classification decision.
 
-    ``health`` and ``probabilities`` are populated when the detector
-    runs under a :class:`~repro.resilience.degradation.DegradationPolicy`;
-    probabilities are then guaranteed finite.
+    ``probabilities`` are guaranteed finite; ``health`` records whether
+    the decision was healthy, degraded by imputation, or held.
     """
 
     window_index: int
     raw_prediction: int
     smoothed_prediction: int
     stream_time: float
-    probabilities: Optional[np.ndarray] = None
-    health: Optional[HealthStatus] = None
+    probabilities: np.ndarray
+    health: HealthStatus
 
 
 class OnlineDetector:
@@ -268,7 +249,10 @@ class OnlineDetector:
     classifies after every new window once the map is full.  The final
     decision is a majority vote over the last ``smoothing`` raw
     predictions, suppressing single-window flickers — the standard
-    trick for stable real-time emotion detection.
+    trick for stable real-time emotion detection.  Every window runs
+    under a :class:`~repro.resilience.degradation.DegradationPolicy`
+    (``policy=None`` means the default policy): corrupt channels are
+    gated and imputed, and sustained corruption holds the last decision.
     """
 
     def __init__(
@@ -279,22 +263,19 @@ class OnlineDetector:
         smoothing: int = 3,
         policy: Optional[DegradationPolicy] = None,
     ):
-        if smoothing < 1:
-            raise ValueError("smoothing must be >= 1")
+        if windows_per_map < 1:
+            raise ValueError("windows_per_map must be >= 1")
         self.model = model
         self.windows_per_map = int(windows_per_map)
         self.streaming = streaming
         self.smoothing = int(smoothing)
-        self.policy = policy
-        self._controller = (
-            DegradationController(policy) if policy is not None else None
-        )
-        if policy is not None:
-            # Corrupt input must surface as a gated window; the policy
-            # path handles extraction failures explicitly.
-            streaming.capture_errors = True
-        self._rolling = RollingWindowMap(windows_per_map)
-        self._recent_raw: Deque[int] = deque(maxlen=self.smoothing)
+        self._vote = MajorityVote(self.smoothing)
+        self.policy = policy if policy is not None else DegradationPolicy()
+        self._controller = DegradationController(self.policy)
+        # Corrupt input must surface as a gated window; extraction
+        # failures are handled explicitly below.
+        streaming.capture_errors = True
+        self._vectors: Deque[np.ndarray] = deque(maxlen=self.windows_per_map)
         self.detections: List[Detection] = []
 
     def push(
@@ -306,30 +287,14 @@ class OnlineDetector:
         """Feed raw samples; returns any new (smoothed) detections."""
         new_detections: List[Detection] = []
         for event in self.streaming.push(bvp=bvp, gsr=gsr, skt=skt):
-            if self.policy is None:
-                detection = self._classify_plain(event)
-            else:
-                detection = self._classify_resilient(event)
+            detection = self._classify(event)
             if detection is not None:
                 self.detections.append(detection)
                 new_detections.append(detection)
         return new_detections
 
-    # -- plain path (no policy): identical to the pre-resilience runtime ----
-    def _classify_plain(self, event: WindowEvent) -> Optional[Detection]:
-        if not self._rolling.push(event.features):
-            return None
-        raw = int(self.model.predict_classes([self._current_map()])[0])
-        smoothed = self._smooth(raw)
-        return Detection(
-            window_index=event.index,
-            raw_prediction=raw,
-            smoothed_prediction=smoothed,
-            stream_time=self.streaming.stream_time,
-        )
-
-    # -- resilient path: gate, impute, abstain — and always report health --
-    def _classify_resilient(self, event: WindowEvent) -> Optional[Detection]:
+    def _classify(self, event: WindowEvent) -> Optional[Detection]:
+        """Gate, impute or abstain, then classify — always with health."""
         ctrl = self._controller
         policy = self.policy
         reasons: List[str] = []
@@ -341,7 +306,7 @@ class OnlineDetector:
         ):
             report = quality_gate(
                 event.signals,
-                self._rates,
+                self.streaming.channel_rates,
                 min_overall=policy.min_quality,
             )
             quality_overall = report.overall
@@ -371,7 +336,8 @@ class OnlineDetector:
             ctrl.record_window(False)
             ctrl.observe_clean(vector)
 
-        if not self._rolling.push(vector):
+        self._vectors.append(vector)
+        if len(self._vectors) < self.windows_per_map:
             return None
 
         state = HEALTHY
@@ -383,9 +349,11 @@ class OnlineDetector:
             raw, probs = ctrl.abstain(reasons)
             state, held = ABSTAINED, True
         else:
-            x, _ = self._prepare_input()
-            logits = self.model.model.predict(x)
-            probs_row, trustworthy = safe_probabilities(logits)
+            rolling = FeatureMap(
+                np.stack(self._vectors, axis=1), label=0, subject_id=-1
+            )
+            x, _ = maps_to_arrays(self.model.normalizer.transform_all([rolling]))
+            probs_row, trustworthy = safe_probabilities(self.model.model.predict(x))
             probs = probs_row[0]
             if not trustworthy:
                 reasons.append("non_finite_model_output")
@@ -396,7 +364,6 @@ class OnlineDetector:
                 ctrl.commit(raw, probs)
                 if window_gated or n_imputed:
                     state = DEGRADED
-        smoothed = self._smooth(raw)
         health = HealthStatus(
             state=state,
             gated_channels=tuple(gated_channels),
@@ -409,36 +376,15 @@ class OnlineDetector:
         return Detection(
             window_index=event.index,
             raw_prediction=raw,
-            smoothed_prediction=smoothed,
+            smoothed_prediction=self._vote(raw),
             stream_time=self.streaming.stream_time,
             probabilities=np.asarray(probs, dtype=np.float64),
             health=health,
         )
 
-    # -- shared helpers -----------------------------------------------------
-    @property
-    def _rates(self) -> Dict[str, float]:
-        r = self.streaming.extractor.rates
-        return {"bvp": r.bvp, "gsr": r.gsr, "skt": r.skt}
-
-    def _current_map(self) -> FeatureMap:
-        return self._rolling.current_map()
-
-    def _prepare_input(self):
-        from ..signals.feature_map import maps_to_arrays
-
-        normalized = self.model.normalizer.transform_all([self._current_map()])
-        return maps_to_arrays(normalized)
-
-    def _smooth(self, raw: int) -> int:
-        self._recent_raw.append(int(raw))
-        votes = np.bincount(list(self._recent_raw), minlength=2)
-        return int(np.argmax(votes))
-
     def reset(self) -> None:
         """Forget stream state (e.g. when the wearable is re-donned)."""
-        self._rolling.clear()
-        self._recent_raw.clear()
+        self._vectors.clear()
+        self._vote.clear()
         self.detections.clear()
-        if self._controller is not None:
-            self._controller.reset()
+        self._controller.reset()

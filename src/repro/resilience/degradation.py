@@ -13,6 +13,8 @@ makes the behaviour explicit policy instead of accident:
   confident prediction from a degraded or held one.
 * :class:`DegradationController` — the streaming-side state machine
   used by :class:`repro.edge.streaming.OnlineDetector`.
+* :class:`MajorityVote` — the temporal smoothing of raw predictions,
+  shared by the edge detector and fleet serving.
 * :func:`population_average_model` — the fallback checkpoint used by
   :meth:`repro.core.pipeline.CLEARSystem.predict_with_health` when the
   cluster checkpoint fails verification or assignment confidence is
@@ -180,6 +182,29 @@ def safe_probabilities(logits: np.ndarray) -> Tuple[np.ndarray, bool]:
     probs = softmax(safe, axis=-1)
     probs[~finite_rows] = 1.0 / logits.shape[-1]
     return probs, False
+
+
+class MajorityVote:
+    """Temporal smoothing: majority over the last ``smoothing`` raw predictions.
+
+    The one vote shared by the on-device detector
+    (:class:`repro.edge.streaming.OnlineDetector`) and fleet serving
+    (:class:`repro.serving.sessions.UserSession`).  Ties go to the lower
+    class, so a {0, 1} split decides class 0.
+    """
+
+    def __init__(self, smoothing: int):
+        if smoothing < 1:
+            raise ValueError("smoothing must be >= 1")
+        self._recent: Deque[int] = deque(maxlen=int(smoothing))
+
+    def __call__(self, raw: int) -> int:
+        """Record one raw prediction; returns the smoothed decision."""
+        self._recent.append(int(raw))
+        return int(np.argmax(np.bincount(list(self._recent), minlength=2)))
+
+    def clear(self) -> None:
+        self._recent.clear()
 
 
 class DegradationController:

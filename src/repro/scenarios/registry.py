@@ -39,13 +39,13 @@ def _wemac(scale: str, seed: int, **overrides) -> Scenario:
 
 
 def _circumplex(scale: str, seed: int, **overrides) -> Scenario:
-    return circumplex_scenario(
-        num_subjects=SCALES[scale], seed=seed, **overrides
-    )
+    overrides.setdefault("num_subjects", SCALES[scale])
+    return circumplex_scenario(seed=seed, **overrides)
 
 
 def _stress(scale: str, seed: int, **overrides) -> Scenario:
-    return stress_scenario(num_subjects=SCALES[scale], seed=seed, **overrides)
+    overrides.setdefault("num_subjects", SCALES[scale])
+    return stress_scenario(seed=seed, **overrides)
 
 
 SCENARIO_FACTORIES: Dict[str, Callable[..., Scenario]] = {

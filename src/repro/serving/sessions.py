@@ -2,24 +2,22 @@
 
 A session is the server-side mirror of one wearable: which cluster the
 cold-start assignment picked (and with what confidence margin), whether
-the user has been personalized yet, the rolling feature-map state when
-raw windows stream in, and the temporal-smoothing vote that turns raw
-predictions into stable decisions.  Sessions are grouped into shards by
-a *seed-independent* SHA-256 hash of the user id, so any fleet node —
-or any rerun of a benchmark — places every user identically.
+the user has been personalized yet, and the temporal-smoothing vote
+that turns raw predictions into stable decisions.  Sessions see
+feature maps only; turning raw samples into maps is the edge
+detector's job (:mod:`repro.edge.streaming`).  Sessions are grouped
+into shards by a *seed-independent* SHA-256 hash of the user id, so
+any fleet node — or any rerun of a benchmark — places every user
+identically.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-import numpy as np
-
-from ..edge.streaming import RollingWindowMap, StreamingFeatureExtractor
 from ..errors import ServingError
-from ..signals.feature_map import FeatureMap
+from ..resilience.degradation import MajorityVote
 from .registry import GroupKey
 
 
@@ -39,22 +37,12 @@ class UserSession:
         cluster: int,
         margin: float,
         smoothing: int = 3,
-        windows_per_map: Optional[int] = None,
-        extractor: Optional[StreamingFeatureExtractor] = None,
     ):
-        if smoothing < 1:
-            raise ValueError("smoothing must be >= 1")
         self.user_id = int(user_id)
         self.cluster = int(cluster)
         self.margin = float(margin)
         self.personalized = False
-        self.extractor = extractor
-        self.rolling = (
-            RollingWindowMap(windows_per_map)
-            if windows_per_map is not None
-            else None
-        )
-        self._recent_raw: Deque[int] = deque(maxlen=int(smoothing))
+        self._vote = MajorityVote(smoothing)
         self._issued = 0  # request indices handed out
         self._next_emit = 0  # next request index the reorder buffer releases
         self._held: Dict[int, Tuple] = {}
@@ -73,12 +61,10 @@ class UserSession:
     def mark_personalized(self) -> None:
         self.personalized = True
 
-    # -- decision smoothing (mirrors OnlineDetector._smooth) ---------------
+    # -- decision smoothing (the vote OnlineDetector uses too) ------------
     def smooth(self, raw: int) -> int:
         """Majority vote over the last ``smoothing`` raw predictions."""
-        self._recent_raw.append(int(raw))
-        votes = np.bincount(list(self._recent_raw), minlength=2)
-        return int(np.argmax(votes))
+        return self._vote(raw)
 
     # -- reorder buffer ----------------------------------------------------
     # Smoothing is order-dependent, so results must be released in
@@ -103,30 +89,6 @@ class UserSession:
     @property
     def pending_results(self) -> int:
         return len(self._held)
-
-    # -- streaming ingestion ----------------------------------------------
-    def push_samples(
-        self,
-        bvp: Sequence[float] = (),
-        gsr: Sequence[float] = (),
-        skt: Sequence[float] = (),
-    ) -> List[FeatureMap]:
-        """Feed raw samples; returns any rolling maps that became ready.
-
-        Only available when the session was built with an extractor and
-        ``windows_per_map`` — fleet benchmarks that synthesize feature
-        maps directly skip this layer entirely.
-        """
-        if self.extractor is None or self.rolling is None:
-            raise ServingError(
-                f"user {self.user_id} session has no streaming extractor; "
-                f"submit feature maps directly"
-            )
-        maps: List[FeatureMap] = []
-        for event in self.extractor.push(bvp=bvp, gsr=gsr, skt=skt):
-            if self.rolling.push(event.features):
-                maps.append(self.rolling.current_map())
-        return maps
 
 
 def shard_for(user_id: int, num_shards: int) -> int:

@@ -10,6 +10,7 @@ from repro.edge.streaming import (
     RingBuffer,
     StreamingFeatureExtractor,
 )
+from repro.resilience.degradation import MajorityVote
 from repro.signals import FeatureExtractor, SensorRates
 from repro.signals.feature_map import build_feature_map
 
@@ -107,6 +108,15 @@ class TestStreamingFeatureExtractor:
         # Windows end at t = 8, 12, 16, 20.
         assert len(events) == 4
 
+        # One bulk push of the same samples emits the same windows.
+        bulk = StreamingFeatureExtractor(RATES, window_seconds=8.0, hop_seconds=4.0)
+        bulk_events = bulk.push(
+            **{ch: np.concatenate([c[ch] for c in chunks]) for ch in chunks[0]}
+        )
+        assert [e.index for e in bulk_events] == [e.index for e in events]
+        for got, want in zip(bulk_events, events):
+            np.testing.assert_array_equal(got.features, want.features)
+
     def test_event_indices_sequential(self):
         rng = np.random.default_rng(2)
         profile = sample_subject(0, 1, rng)
@@ -180,15 +190,16 @@ class TestOnlineDetector:
         assert detector.detections[-1].stream_time == pytest.approx(40.0, abs=1.0)
 
     def test_smoothing_majority_vote(self, trained):
-        model, profile = trained
+        model, _ = trained
         stream = StreamingFeatureExtractor(RATES, window_seconds=8.0)
         detector = OnlineDetector(
             model, windows_per_map=4, streaming=stream, smoothing=3
         )
-        # Inject raw predictions directly to verify vote arithmetic.
-        detector._recent_raw.extend([1, 1])
-        votes = np.bincount(list(detector._recent_raw), minlength=2)
-        assert int(np.argmax(votes)) == 1
+        # The detector smooths with the vote serving sessions use.
+        assert isinstance(detector._vote, MajorityVote)
+        vote = MajorityVote(3)
+        # Tie at {0, 1} goes to class 0.
+        assert [vote(raw) for raw in (1, 0, 1, 0)] == [1, 0, 1, 0]
 
     def test_fear_stream_classified_as_fear(self, trained):
         """End-to-end: a fear stream should mostly produce fear votes."""

@@ -150,6 +150,9 @@ class TestRegistry:
         first = next(scenario.iter_subjects())
         assert first.subject_id == 0
         assert first.maps[0].values.shape[0] == 123
+        # A num_subjects override replaces the scale's subject count.
+        sized = get_scenario(name, scale="tiny", seed=0, num_subjects=5)
+        assert sized.num_subjects == 5
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError, match="unknown scenario"):

@@ -110,8 +110,3 @@ class TestUserSession:
         s.release_ready()
         with pytest.raises(ServingError, match="completed twice"):
             s.hold(0, ("late",))
-
-    def test_push_samples_without_extractor_typed(self):
-        s = _session()
-        with pytest.raises(ServingError, match="no streaming extractor"):
-            s.push_samples(bvp=[0.0])
