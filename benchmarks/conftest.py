@@ -8,16 +8,12 @@ of LOSO folds evaluated per protocol (default 5).
 """
 
 import os
-from dataclasses import dataclass
 from typing import List
 
-import numpy as np
 import pytest
 
-from repro.core import CLEAR, CLEARConfig
-from repro.core.trainer import TrainedModel, fine_tune
-from repro.datasets import SyntheticWEMAC, WEMACConfig, split_maps_by_fraction
-from repro.signals.feature_map import FeatureMap
+from repro.core import CLEARConfig, CLEARFold, clear_validation
+from repro.datasets import SyntheticWEMAC, WEMACConfig
 
 BENCH_FOLDS = int(os.environ.get("REPRO_BENCH_FOLDS", "5"))
 
@@ -43,65 +39,13 @@ def bench_config():
     return CLEARConfig.fast(seed=0)
 
 
-@dataclass
-class EdgeFold:
-    """One LOSO fold prepared for the Table II edge benches."""
-
-    subject_id: int
-    cluster: int
-    checkpoint: TrainedModel  # the assigned cluster's cloud checkpoint
-    tuned: TrainedModel  # checkpoint after user fine-tuning (float)
-    calibration_maps: List[FeatureMap]  # for int8 activation calibration
-    test_maps: List[FeatureMap]
-    ft_examples: int
-    other_checkpoints: List[TrainedModel]  # for the RT CLEAR rows
+@pytest.fixture(scope="session")
+def bench_clear(bench_dataset, bench_config):
+    """The Table I CLEAR LOSO; its folds are the Table II edge folds."""
+    return clear_validation(bench_dataset, bench_config, max_folds=BENCH_FOLDS)
 
 
 @pytest.fixture(scope="session")
-def edge_folds(bench_dataset, bench_config) -> List[EdgeFold]:
-    """Prepare LOSO folds once; Table II benches reuse them per platform."""
-    rng = np.random.default_rng(bench_config.seed)
-    folds: List[EdgeFold] = []
-    for record in bench_dataset.subjects[:BENCH_FOLDS]:
-        population = {
-            s.subject_id: list(s.maps)
-            for s in bench_dataset.subjects
-            if s.subject_id != record.subject_id
-        }
-        system = CLEAR(bench_config).fit(population)
-        ca_maps, held_back = split_maps_by_fraction(
-            record.maps, bench_config.ca_data_fraction, rng, stratified=False
-        )
-        assignment = system.assign_new_user(ca_maps)
-        cluster = assignment.cluster
-        checkpoint = system.model_for(cluster)
-        ft_fraction = bench_config.ft_label_fraction / (
-            1.0 - bench_config.ca_data_fraction
-        )
-        ft_maps, test_maps = split_maps_by_fraction(
-            held_back, ft_fraction, rng, stratified=True
-        )
-        tuned = fine_tune(
-            checkpoint, ft_maps, bench_config.fine_tuning, seed=bench_config.seed
-        )
-        calibration = [
-            m for sid in system.gc.members(cluster) for m in population[sid]
-        ][:12]
-        others = [
-            system.model_for(c)
-            for c in range(bench_config.num_clusters)
-            if c != cluster
-        ]
-        folds.append(
-            EdgeFold(
-                subject_id=record.subject_id,
-                cluster=cluster,
-                checkpoint=checkpoint,
-                tuned=tuned,
-                calibration_maps=calibration,
-                test_maps=test_maps,
-                ft_examples=len(ft_maps),
-                other_checkpoints=others,
-            )
-        )
-    return folds
+def edge_folds(bench_clear) -> List[CLEARFold]:
+    """LOSO folds fitted once; Table II benches reuse them per platform."""
+    return bench_clear.folds

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from repro.clustering import GlobalClustering, build_subclusters, ColdStartAssigner
-from repro.core import CLEAR, fine_tune
+from repro.core import CLEAR, fine_tune, split_new_user
 from repro.core.trainer import train_on_maps
-from repro.datasets import split_maps_by_fraction
 
 
 @pytest.fixture(scope="module")
@@ -53,27 +52,23 @@ def pipeline_run(bench_dataset, bench_config):
         )
     timings["cloud: per-cluster pre-training"] = time.perf_counter() - t0
 
-    rng = np.random.default_rng(0)
-    ca_maps, held_back = split_maps_by_fraction(
-        record.maps, bench_config.ca_data_fraction, rng, stratified=False
-    )
+    split = split_new_user(record.maps, bench_config, np.random.default_rng(0))
     assigner = ColdStartAssigner(gc, subclusters)
     t0 = time.perf_counter()
-    assignment = assigner.assign(ca_maps)
+    assignment = assigner.assign(split.ca_maps)
     timings["edge: cold-start assignment (CA)"] = time.perf_counter() - t0
 
-    ft_maps, test_maps = split_maps_by_fraction(held_back, 0.25, rng)
     t0 = time.perf_counter()
     tuned = fine_tune(
         models[assignment.cluster],
-        ft_maps,
+        split.ft_maps,
         bench_config.fine_tuning,
         seed=bench_config.seed,
     )
     timings["edge: fine-tuning (FT)"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    metrics = tuned.evaluate(test_maps)
+    metrics = tuned.evaluate(split.test_maps)
     timings["edge: inference"] = time.perf_counter() - t0
 
     return timings, assignment, metrics

@@ -13,7 +13,6 @@ from repro.core import (
     PAPER_TABLE1_REFERENCES,
     PAPER_TABLE1_RESULTS,
     cl_validation,
-    clear_validation,
     evaluate_general_model,
     render_table,
 )
@@ -21,7 +20,7 @@ from conftest import BENCH_FOLDS
 
 
 @pytest.fixture(scope="module")
-def table1(bench_dataset, bench_config):
+def table1(bench_dataset, bench_config, bench_clear):
     general = evaluate_general_model(
         bench_dataset,
         bench_config,
@@ -29,8 +28,7 @@ def table1(bench_dataset, bench_config):
         max_folds=BENCH_FOLDS,
     )
     cl = cl_validation(bench_dataset, bench_config, max_folds=2 * BENCH_FOLDS)
-    clear = clear_validation(bench_dataset, bench_config, max_folds=BENCH_FOLDS)
-    return general, cl, clear
+    return general, cl, bench_clear
 
 
 def test_table1_rows(table1, benchmark):

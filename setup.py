@@ -1,22 +1,4 @@
-"""Legacy setup shim: lets `pip install -e .` work without the wheel package."""
-from setuptools import setup, find_packages
+"""Legacy setup shim; all packaging metadata lives in pyproject.toml."""
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    description=(
-        "CLEAR: Clustering and Adaptive Deep Learning for cold-start "
-        "emotion detection on the edge (DATE 2025 reproduction)"
-    ),
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.9",
-    install_requires=["numpy>=1.21", "scipy>=1.7"],
-    entry_points={
-        "console_scripts": [
-            "clear-repro=repro.cli:main",
-            "clear-experiments=repro.experiments.__main__:main",
-            "repro-lint=repro.analysis.lint:main",
-        ]
-    },
-)
+setup()

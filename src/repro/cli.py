@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CLEAR, CLEARConfig
+from .core import CLEAR, CLEARConfig, split_new_user
 from .core.persistence import load_system, save_system
-from .datasets import SyntheticWEMAC, WEMACConfig, split_maps_by_fraction
+from .datasets import SyntheticWEMAC, WEMACConfig
 from .datasets.io import load_dataset, save_dataset
 
 PRESETS = {
@@ -107,24 +107,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_personalize(args: argparse.Namespace) -> int:
     system = load_system(args.system)
     record = _user_maps(args)
-    rng = np.random.default_rng(args.seed)
-    ca_maps, held_back = split_maps_by_fraction(
-        record.maps, system.config.ca_data_fraction, rng, stratified=False
+    split = split_new_user(
+        record.maps, system.config, np.random.default_rng(args.seed)
     )
-    cluster = system.assign_new_user(ca_maps).cluster
-    ft_fraction = system.config.ft_label_fraction / (
-        1.0 - system.config.ca_data_fraction
-    )
-    ft_maps, test_maps = split_maps_by_fraction(
-        held_back, ft_fraction, rng, stratified=True
-    )
-    before = system.model_for(cluster).evaluate(test_maps)
-    tuned = system.personalize(ft_maps, cluster=cluster)
-    after = tuned.evaluate(test_maps)
+    cluster = system.assign_new_user(split.ca_maps).cluster
+    before = system.model_for(cluster).evaluate(split.test_maps)
+    tuned = system.personalize(split.ft_maps, cluster=cluster)
+    after = tuned.evaluate(split.test_maps)
     print(f"subject {args.subject} -> cluster {cluster}")
     print(f"  before fine-tuning: accuracy {before['accuracy']:.2%}")
     print(
-        f"  after fine-tuning with {len(ft_maps)} labelled maps: "
+        f"  after fine-tuning with {len(split.ft_maps)} labelled maps: "
         f"accuracy {after['accuracy']:.2%}"
     )
     if args.out:

@@ -6,7 +6,9 @@ Public entry points:
   edge-stage cold-start + fine-tuning.
 * :func:`build_cnn_lstm` — the paper's Fig. 2 architecture.
 * Validation harness — :func:`evaluate_general_model`,
-  :func:`cl_validation`, :func:`clear_validation` (Table I).
+  :func:`cl_validation`, :func:`clear_validation` (Table I; its folds
+  also feed Table II), and :func:`split_new_user`, the one per-user
+  CA / fine-tune / test split.
 """
 
 from .adaptation import (
@@ -44,13 +46,15 @@ from .results import (
     render_table,
 )
 from .trainer import TrainedModel, fine_tune, train_on_maps
-from .tuning import GridSearchResult, TrialResult, grid_search, subject_holdout_folds
 from .validation import (
+    CLEARFold,
     CLEARValidationResult,
     CLValidationResult,
+    UserSplit,
     cl_validation,
     clear_validation,
     evaluate_general_model,
+    split_new_user,
 )
 
 __all__ = [
@@ -78,10 +82,6 @@ __all__ = [
     "architecture_summary",
     "freeze_feature_extractor",
     "FEATURE_EXTRACTOR_LAYERS",
-    "GridSearchResult",
-    "TrialResult",
-    "grid_search",
-    "subject_holdout_folds",
     "TrainedModel",
     "train_on_maps",
     "fine_tune",
@@ -95,4 +95,7 @@ __all__ = [
     "clear_validation",
     "CLValidationResult",
     "CLEARValidationResult",
+    "CLEARFold",
+    "UserSplit",
+    "split_new_user",
 ]

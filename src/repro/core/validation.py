@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from ..orchestration.provenance import Provenance
 from ..runtime.executor import Executor, RuntimeStats, spawn_seeds
 from ..scenarios.adapter import population_records
 from ..scenarios.base import Scenario
+from ..signals.feature_map import FeatureMap, subject_signature
 from .config import CLEARConfig
 
 #: Any population the Table-I drivers accept: the eager WEMAC corpus, a
@@ -52,7 +53,7 @@ from .config import CLEARConfig
 PopulationSource = Union[WEMACDataset, Scenario, object]
 from .pipeline import CLEAR
 from .results import FoldMetrics, MetricSummary
-from .trainer import fine_tune, train_on_maps_cached
+from .trainer import TrainedModel, fine_tune, train_on_maps_cached
 
 
 # -- general model --------------------------------------------------------
@@ -239,9 +240,59 @@ def cl_validation(
 
 # -- CLEAR validation -----------------------------------------------------
 
+@dataclass(frozen=True)
+class UserSplit:
+    """A new user's maps under the paper's per-user protocol."""
+
+    ca_maps: List[FeatureMap]  # unlabeled, for cold-start assignment
+    ft_maps: List[FeatureMap]  # labelled, for fine-tuning
+    test_maps: List[FeatureMap]  # everything else
+    held_back: List[FeatureMap]  # ft_maps + test_maps, in recording order
+
+
+def split_new_user(
+    maps: Sequence[FeatureMap], config: CLEARConfig, rng: np.random.Generator
+) -> UserSplit:
+    """Split a new user's maps into CA, fine-tune and test sets.
+
+    ``ca_data_fraction`` (10 %) of the maps, unstratified, drive the
+    unlabeled cold-start assignment; ``ft_label_fraction`` (20 %) of all
+    maps, stratified over the held-back remainder, fine-tune; the rest
+    is the test set.  Both draws come from ``rng``, CA first.
+    """
+    ca_maps, held_back = split_maps_by_fraction(
+        maps, config.ca_data_fraction, rng, stratified=False
+    )
+    ft_maps, test_maps = split_maps_by_fraction(
+        held_back,
+        config.ft_label_fraction / (1.0 - config.ca_data_fraction),
+        rng,
+        stratified=True,
+    )
+    return UserSplit(ca_maps, ft_maps, test_maps, held_back)
+
+
+@dataclass
+class CLEARFold:
+    """One CLEAR LOSO fold's edge-stage artifacts (Table II deploys them)."""
+
+    subject_id: int
+    cluster: int
+    checkpoint: TrainedModel  # the assigned cluster's cloud checkpoint
+    other_checkpoints: List[TrainedModel]  # for the RT CLEAR rows
+    tuned: Optional[TrainedModel]  # checkpoint after user fine-tuning
+    calibration_maps: List[FeatureMap]  # for int8 activation calibration
+    test_maps: List[FeatureMap]
+    ft_examples: int
+
+
 @dataclass
 class CLEARValidationResult:
-    """Outcome of the full-pipeline CLEAR validation."""
+    """Outcome of the full-pipeline CLEAR validation.
+
+    ``folds`` carries each fold's models and maps for the edge
+    experiments; it is not part of the result's content digest.
+    """
 
     without_ft: MetricSummary
     rt_clear: MetricSummary
@@ -250,6 +301,7 @@ class CLEARValidationResult:
     assignment_matches_gc: Dict[int, bool] = field(default_factory=dict)
     runtime: Optional[RuntimeStats] = None
     provenance: Optional[Provenance] = None
+    folds: List[CLEARFold] = field(default_factory=list, compare=False, repr=False)
 
     def __repro_content__(self) -> Tuple:
         return (
@@ -265,31 +317,25 @@ class CLEARValidationResult:
 def _clear_fold_unit(args: Tuple) -> Dict[str, object]:
     """One full-pipeline CLEAR LOSO fold (steps 1-4 for volunteer V_x)."""
     v_x, record_maps, maps_by, config, seed, with_ft, cache_dir = args
-    rng = np.random.default_rng(seed)
     system = CLEAR(config, cache_dir=cache_dir).fit(maps_by)
 
     # Step 2: unsupervised cold-start assignment from 10 % of data.
-    ca_maps, held_back = split_maps_by_fraction(
-        record_maps, config.ca_data_fraction, rng, stratified=False
-    )
-    assignment = system.assign_new_user(ca_maps)
-    cluster = assignment.cluster
+    split = split_new_user(record_maps, config, np.random.default_rng(seed))
+    cluster = system.assign_new_user(split.ca_maps).cluster
     # Diagnostic: does CA match where GC would place this user with
     # full data?  (Not used by the pipeline; reported for analysis.)
-    from ..signals.feature_map import subject_signature
-
     match = cluster == system.gc.assign_signature(subject_signature(record_maps))
 
     # Step 3: evaluate without fine-tuning + robustness test.
-    metrics = system.model_for(cluster).evaluate(held_back)
+    checkpoint = system.model_for(cluster)
+    others = [
+        system.model_for(c) for c in range(config.num_clusters) if c != cluster
+    ]
+    metrics = checkpoint.evaluate(split.held_back)
     wo_fold = FoldMetrics(metrics["accuracy"], metrics["f1"], fold_id=v_x)
     rt_fold = None
-    other_metrics = []
-    for other in range(config.num_clusters):
-        if other == cluster:
-            continue
-        other_metrics.append(system.model_for(other).evaluate(held_back))
-    if other_metrics:
+    if others:
+        other_metrics = [model.evaluate(split.held_back) for model in others]
         rt_fold = FoldMetrics(
             float(np.mean([m["accuracy"] for m in other_metrics])),
             float(np.mean([m["f1"] for m in other_metrics])),
@@ -297,31 +343,32 @@ def _clear_fold_unit(args: Tuple) -> Dict[str, object]:
         )
 
     # Step 4: fine-tune with 20 % labels, test on the rest.
-    ft_fold = None
+    tuned = ft_fold = None
     if with_ft:
-        ft_fraction = config.ft_label_fraction / (1.0 - config.ca_data_fraction)
-        ft_maps, test_maps = split_maps_by_fraction(
-            held_back, ft_fraction, rng, stratified=True
-        )
         tuned = fine_tune(
-            system.model_for(cluster),
-            ft_maps,
-            config.fine_tuning,
-            seed=config.seed,
+            checkpoint, split.ft_maps, config.fine_tuning, seed=config.seed
         )
-        ft_metrics = tuned.evaluate(test_maps)
+        ft_metrics = tuned.evaluate(split.test_maps)
         ft_fold = FoldMetrics(
             ft_metrics["accuracy"], ft_metrics["f1"], fold_id=v_x
         )
 
     fit_stats = system.runtime
     return {
-        "v_x": v_x,
-        "cluster": cluster,
-        "match": match,
         "wo": wo_fold,
         "rt": rt_fold,
         "ft": ft_fold,
+        "match": match,
+        "fold": CLEARFold(
+            subject_id=v_x,
+            cluster=cluster,
+            checkpoint=checkpoint,
+            other_checkpoints=others,
+            tuned=tuned,
+            calibration_maps=member_maps(maps_by, system.gc.members(cluster))[:12],
+            test_maps=split.test_maps,
+            ft_examples=len(split.ft_maps),
+        ),
         "hits": 0 if fit_stats is None else fit_stats.cache_hits,
         "misses": 0 if fit_stats is None else fit_stats.cache_misses,
     }
@@ -340,13 +387,17 @@ def clear_validation(
     Per fold (one per volunteer V_x):
 
     1. Fit the CLEAR cloud stage on the other N-1 volunteers.
-    2. CA assigns V_x from ``ca_data_fraction`` (10 %) of their maps,
-       *unlabeled*.
+    2. :func:`split_new_user` splits V_x's maps; CA assigns V_x from
+       ``ca_data_fraction`` (10 %) of them, *unlabeled*.
     3. The assigned checkpoint is evaluated on the held-back maps
        (CLEAR w/o FT); every other cluster's checkpoint on the same
        maps gives RT CLEAR.
     4. ``ft_label_fraction`` (20 %) of maps fine-tune the checkpoint;
        evaluation on the remainder gives CLEAR w FT.
+
+    ``result.folds`` keeps each fold's checkpoints, fine-tuned model and
+    test maps, so the Table II edge experiments reuse these folds
+    instead of fitting the cloud stage again.
 
     Each fold draws from its own spawned RNG (fold *i* always sees the
     same stream, whatever executor runs it and whatever ``max_folds``
@@ -396,14 +447,15 @@ def clear_validation(
     )
     assignments: Dict[int, int] = {}
     matches: Dict[int, bool] = {}
-    for fold in plan.results:
-        assignments[fold["v_x"]] = fold["cluster"]
-        matches[fold["v_x"]] = fold["match"]
-        wo_ft.add(fold["wo"])
-        if fold["rt"] is not None:
-            rt.add(fold["rt"])
-        if w_ft is not None and fold["ft"] is not None:
-            w_ft.add(fold["ft"])
+    for unit in plan.results:
+        fold = unit["fold"]
+        assignments[fold.subject_id] = fold.cluster
+        matches[fold.subject_id] = unit["match"]
+        wo_ft.add(unit["wo"])
+        if unit["rt"] is not None:
+            rt.add(unit["rt"])
+        if w_ft is not None and unit["ft"] is not None:
+            w_ft.add(unit["ft"])
 
     return CLEARValidationResult(
         without_ft=wo_ft,
@@ -413,4 +465,5 @@ def clear_validation(
         assignment_matches_gc=matches,
         runtime=plan.stats,
         provenance=plan.provenance,
+        folds=[unit["fold"] for unit in plan.results],
     )

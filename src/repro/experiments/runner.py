@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -13,6 +13,8 @@ from ..clustering import GlobalClustering
 from ..core import (
     CLEAR,
     CLEARConfig,
+    CLEARFold,
+    CLEARValidationResult,
     FineTuneConfig,
     ModelConfig,
     TrainingConfig,
@@ -23,18 +25,16 @@ from ..core import (
     cl_validation,
     clear_validation,
     evaluate_general_model,
-    fine_tune,
     render_table,
+    split_new_user,
 )
-from ..core.trainer import train_on_maps
-from ..datasets import SyntheticWEMAC, WEMACConfig, split_maps_by_fraction
+from ..datasets import SyntheticWEMAC, WEMACConfig
 from ..edge import ALL_DEVICES, EdgeDeployment, profile_model
 from ..orchestration import (
     PipelineGraph,
     Stage,
     executor_for_workers,
     group_maps_by_subject,
-    member_maps,
 )
 from ..runtime import Executor
 from ..signals import (
@@ -147,6 +147,13 @@ def run_table1(
     stage boundary and every row's lineage lands in the report's
     ``provenance``.
     """
+    return _table1(scale, dataset)[0]
+
+
+def _table1(
+    scale: Optional[ExperimentScale], dataset
+) -> Tuple[ExperimentReport, CLEARValidationResult]:
+    """Table I's report plus its CLEAR validation, whose folds Table II reuses."""
     scale = scale or ExperimentScale.bench()
     dataset = dataset if dataset is not None else _generate(scale)
 
@@ -235,7 +242,7 @@ def run_table1(
         "cl": cl.runtime.as_dict() if cl.runtime else None,
         "clear": clear.runtime.as_dict() if clear.runtime else None,
     }
-    return ExperimentReport(
+    report = ExperimentReport(
         experiment_id="table1",
         title="CLEAR validation vs references (paper Table I)",
         text=text,
@@ -244,47 +251,18 @@ def run_table1(
         checks=checks,
         provenance=run.lineage(),
     )
+    return report, clear
 
 
-def _edge_folds(scale: ExperimentScale, dataset):
-    """LOSO folds prepared for the Table II experiments."""
-    rng = np.random.default_rng(scale.clear.seed)
-    folds = []
-    subjects = (
-        dataset.subjects
-        if scale.max_folds is None
-        else dataset.subjects[: scale.max_folds]
-    )
-    for record in subjects:
-        population = group_maps_by_subject(dataset, exclude=record.subject_id)
-        system = CLEAR(scale.clear, cache_dir=scale.cache_dir).fit(population)
-        ca_maps, held_back = split_maps_by_fraction(
-            record.maps, scale.clear.ca_data_fraction, rng, stratified=False
-        )
-        assignment = system.assign_new_user(ca_maps)
-        checkpoint = system.model_for(assignment.cluster)
-        ft_fraction = scale.clear.ft_label_fraction / (
-            1.0 - scale.clear.ca_data_fraction
-        )
-        ft_maps, test_maps = split_maps_by_fraction(
-            held_back, ft_fraction, rng, stratified=True
-        )
-        tuned = fine_tune(
-            checkpoint, ft_maps, scale.clear.fine_tuning, seed=scale.clear.seed
-        )
-        calibration = member_maps(
-            population, system.gc.members(assignment.cluster)
-        )[:12]
-        folds.append(
-            {
-                "checkpoint": checkpoint,
-                "tuned": tuned,
-                "calibration": calibration,
-                "test_maps": test_maps,
-                "ft_examples": len(ft_maps),
-            }
-        )
-    return folds
+def _clear_folds(scale: ExperimentScale, dataset) -> List[CLEARFold]:
+    """Table I's CLEAR LOSO folds, for a Table II run without Table I."""
+    return clear_validation(
+        dataset,
+        scale.clear,
+        max_folds=scale.max_folds,
+        executor=scale.executor(),
+        cache_dir=scale.cache_dir,
+    ).folds
 
 
 def _platform_accuracy(folds, use_tuned: bool) -> Dict[str, Dict[str, float]]:
@@ -292,11 +270,11 @@ def _platform_accuracy(folds, use_tuned: bool) -> Dict[str, Dict[str, float]]:
     for key, device in ALL_DEVICES.items():
         accs, f1s = [], []
         for fold in folds:
-            model = fold["tuned"] if use_tuned else fold["checkpoint"]
+            model = fold.tuned if use_tuned else fold.checkpoint
             deployment = EdgeDeployment(
-                model, device, calibration_maps=fold["calibration"]
+                model, device, calibration_maps=fold.calibration_maps
             )
-            m = deployment.evaluate(fold["test_maps"])
+            m = deployment.evaluate(fold.test_maps)
             accs.append(m["accuracy"] * 100)
             f1s.append(m["f1"] * 100)
         results[key] = {
@@ -315,7 +293,7 @@ def run_table2_upper(
     """Table II upper: platform accuracy without fine-tuning."""
     scale = scale or ExperimentScale.bench()
     dataset = dataset if dataset is not None else _generate(scale)
-    folds = folds if folds is not None else _edge_folds(scale, dataset)
+    folds = folds if folds is not None else _clear_folds(scale, dataset)
 
     graph = PipelineGraph(
         "table2_upper",
@@ -377,7 +355,7 @@ def run_table2_lower(
     """Table II lower: post-FT accuracy + MTC/MPC cost rows."""
     scale = scale or ExperimentScale.bench()
     dataset = dataset if dataset is not None else _generate(scale)
-    folds = folds if folds is not None else _edge_folds(scale, dataset)
+    folds = folds if folds is not None else _clear_folds(scale, dataset)
 
     def _cost_stage(ctx, edge_folds):
         # Cost model rows (identical across folds up to ft_examples).
@@ -385,11 +363,11 @@ def run_table2_lower(
         for key, device in ALL_DEVICES.items():
             fold = edge_folds[0]
             deployment = EdgeDeployment(
-                fold["tuned"], device, calibration_maps=fold["calibration"]
+                fold.tuned, device, calibration_maps=fold.calibration_maps
             )
             report = deployment.cost_report(
-                fold["test_maps"],
-                ft_examples=fold["ft_examples"],
+                fold.test_maps,
+                ft_examples=fold.ft_examples,
                 ft_epochs=scale.clear.fine_tuning.epochs,
             )
             costs[key] = {
@@ -514,21 +492,19 @@ def run_fig1_pipeline(
         ).fit(population)
         timings["cloud_fit_s"] = time.perf_counter() - t0
 
-        rng = np.random.default_rng(scale.clear.seed)
-        ca_maps, held_back = split_maps_by_fraction(
-            record.maps, scale.clear.ca_data_fraction, rng, stratified=False
+        split = split_new_user(
+            record.maps, scale.clear, np.random.default_rng(scale.clear.seed)
         )
         t0 = time.perf_counter()
-        assignment = system.assign_new_user(ca_maps)
+        assignment = system.assign_new_user(split.ca_maps)
         timings["edge_assignment_s"] = time.perf_counter() - t0
 
-        ft_maps, test_maps = split_maps_by_fraction(held_back, 0.25, rng)
         t0 = time.perf_counter()
-        tuned = system.personalize(ft_maps, cluster=assignment.cluster)
+        tuned = system.personalize(split.ft_maps, cluster=assignment.cluster)
         timings["edge_finetune_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        metrics = tuned.evaluate(test_maps)
+        metrics = tuned.evaluate(split.test_maps)
         timings["edge_inference_s"] = time.perf_counter() - t0
         return _Fig1Walkthrough(
             timings=timings, cluster=assignment.cluster, metrics=metrics
@@ -688,15 +664,15 @@ def run_setup_statistics(
 
 
 def run_all(scale: Optional[ExperimentScale] = None) -> ReportRegistry:
-    """Run every experiment once, sharing the corpus and edge folds."""
+    """Run every experiment once; Table II reuses Table I's CLEAR folds."""
     scale = scale or ExperimentScale.bench()
     dataset = _generate(scale)
-    folds = _edge_folds(scale, dataset)
+    table1, clear = _table1(scale, dataset)
     registry = ReportRegistry()
     registry.add(run_setup_statistics(scale, dataset))
     registry.add(run_fig2_architecture(scale))
     registry.add(run_fig1_pipeline(scale, dataset))
-    registry.add(run_table1(scale, dataset))
-    registry.add(run_table2_upper(scale, dataset, folds))
-    registry.add(run_table2_lower(scale, dataset, folds))
+    registry.add(table1)
+    registry.add(run_table2_upper(scale, dataset, clear.folds))
+    registry.add(run_table2_lower(scale, dataset, clear.folds))
     return registry

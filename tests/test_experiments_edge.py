@@ -2,32 +2,26 @@
 
 import pytest
 
-from repro.core import CLEARConfig, FineTuneConfig, ModelConfig, TrainingConfig
-from repro.datasets import WEMACConfig
-from repro.experiments import ExperimentScale, run_table2_lower, run_table2_upper
-from repro.experiments.runner import _edge_folds
+from repro.core import CLEAR, clear_validation
+from repro.experiments import (
+    ExperimentScale,
+    run_all,
+    run_table2_lower,
+    run_table2_upper,
+)
 
 
 @pytest.fixture(scope="module")
 def tiny_scale():
-    return ExperimentScale(
-        dataset=WEMACConfig.tiny(seed=0),
-        clear=CLEARConfig(
-            num_clusters=4,
-            subclusters_per_cluster=2,
-            gc_refinements=2,
-            model=ModelConfig(conv_filters=(4, 8), lstm_units=8, dropout=0.0),
-            training=TrainingConfig(epochs=6, batch_size=8, early_stopping_patience=2),
-            fine_tuning=FineTuneConfig(epochs=3),
-            seed=0,
-        ),
-        max_folds=2,
-    )
+    return ExperimentScale.tiny(seed=0)
 
 
 @pytest.fixture(scope="module")
 def folds(tiny_scale, tiny_dataset):
-    return _edge_folds(tiny_scale, tiny_dataset)
+    """Table II's folds are Table I's CLEAR LOSO folds."""
+    return clear_validation(
+        tiny_dataset, tiny_scale.clear, max_folds=tiny_scale.max_folds
+    ).folds
 
 
 class TestEdgeFolds:
@@ -36,11 +30,11 @@ class TestEdgeFolds:
 
     def test_fold_contents(self, folds):
         for fold in folds:
-            assert fold["checkpoint"] is not None
-            assert fold["tuned"] is not None
-            assert fold["calibration"]
-            assert fold["test_maps"]
-            assert fold["ft_examples"] >= 1
+            assert fold.checkpoint is not None
+            assert fold.tuned is not None
+            assert fold.calibration_maps
+            assert fold.test_maps
+            assert fold.ft_examples >= 1
 
 
 class TestTable2Runners:
@@ -65,3 +59,19 @@ class TestTable2Runners:
         report = run_table2_lower(tiny_scale, tiny_dataset, folds)
         assert report.paper["coral_tpu"]["retrain_s"] == 32.48
         assert report.paper["pi_ncs2"]["test_ms"] == 239.70
+
+
+class TestFoldReuse:
+    def test_run_all_fits_each_fold_once(self, tiny_scale, monkeypatch):
+        """Table II reuses Table I's folds: one cloud fit per fold + Fig. 1."""
+        fits = []
+        fit = CLEAR.fit
+
+        def counting_fit(self, *args, **kwargs):
+            fits.append(self)
+            return fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(CLEAR, "fit", counting_fit)
+        registry = run_all(tiny_scale)
+        assert len(fits) == tiny_scale.max_folds + 1
+        assert registry.get("table2_lower").experiment_id == "table2_lower"
