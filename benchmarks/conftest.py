@@ -13,7 +13,8 @@ from typing import List
 import pytest
 
 from repro.core import CLEARConfig, CLEARFold, clear_validation
-from repro.datasets import SyntheticWEMAC, WEMACConfig
+from repro.datasets import WEMACConfig
+from repro.scenarios import WEMACScenario
 
 BENCH_FOLDS = int(os.environ.get("REPRO_BENCH_FOLDS", "5"))
 
@@ -31,7 +32,7 @@ def bench_dataset_config(seed: int = 2) -> WEMACConfig:
 
 @pytest.fixture(scope="session")
 def bench_dataset():
-    return SyntheticWEMAC(bench_dataset_config()).generate()
+    return WEMACScenario(bench_dataset_config()).materialize()
 
 
 @pytest.fixture(scope="session")

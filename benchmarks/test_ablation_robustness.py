@@ -25,12 +25,15 @@ from repro.signals import (
     inject_dropout,
     inject_motion_spikes,
 )
+from repro.scenarios import WEMACScenario
 from repro.signals.feature_map import build_feature_map
+
+from conftest import bench_dataset_config
 
 
 @pytest.fixture(scope="module")
 def subject_and_model(bench_dataset, bench_config):
-    """A trained cluster model + its cluster's subjects for corruption."""
+    """A trained cluster model + a held-out subject's draw to corrupt."""
     from repro.core import train_on_maps
 
     maps_by = {s.subject_id: list(s.maps) for s in bench_dataset.subjects}
@@ -42,10 +45,13 @@ def subject_and_model(bench_dataset, bench_config):
     model = train_on_maps(
         train_maps, bench_config.model, bench_config.training, seed=0
     )
-    return model, bench_dataset.subject(test_subject)
+    draw = WEMACScenario.draw_subject(
+        WEMACScenario(bench_dataset_config()).build_config(), test_subject
+    )
+    return model, draw
 
 
-def _corrupted_maps(record, dataset_cfg, severity, rng):
+def _corrupted_maps(draw, dataset_cfg, severity, rng):
     """Re-simulate the subject's trials with artifact injection."""
     from repro.datasets import PhysiologicalSimulator
 
@@ -60,8 +66,8 @@ def _corrupted_maps(record, dataset_cfg, severity, rng):
     )
     maps = []
     qualities = []
-    for trial in record.schedule.trials:
-        raw = sim.simulate_trial(record.profile, trial.label, trial.duration_seconds, rng)
+    for trial in draw.schedule.trials:
+        raw = sim.simulate_trial(draw.profile, trial.label, trial.duration_seconds, rng)
         bvp = raw["bvp"]
         if severity > 0:
             bvp = inject_motion_spikes(
@@ -74,17 +80,15 @@ def _corrupted_maps(record, dataset_cfg, severity, rng):
             build_feature_map(
                 vectors[: dataset_cfg.windows_per_map],
                 label=trial.label,
-                subject_id=record.subject_id,
+                subject_id=draw.profile.subject_id,
             )
         )
     return maps, qualities
 
 
-def test_ablation_artifact_robustness(
-    subject_and_model, bench_dataset, benchmark
-):
-    model, record = subject_and_model
-    cfg = bench_dataset.config
+def test_ablation_artifact_robustness(subject_and_model, benchmark):
+    model, draw = subject_and_model
+    cfg = bench_dataset_config()
 
     def run():
         rng = np.random.default_rng(0)
@@ -92,7 +96,7 @@ def test_ablation_artifact_robustness(
         lines.append(f"{'severity':>9}{'mean quality':>14}{'accuracy':>10}")
         series = {}
         for severity in (0.0, 0.5, 1.0, 2.0):
-            maps, qualities = _corrupted_maps(record, cfg, severity, rng)
+            maps, qualities = _corrupted_maps(draw, cfg, severity, rng)
             acc = model.evaluate(maps)["accuracy"]
             lines.append(
                 f"{severity:>9.1f}{np.mean(qualities):>14.2f}{acc * 100:>10.2f}"
@@ -111,7 +115,7 @@ def test_ablation_artifact_robustness(
     assert series[0.5][0] >= 0.3
 
 
-def _maps_with_channel_dropout(record, dataset_cfg, channel, rate, rng):
+def _maps_with_channel_dropout(draw, dataset_cfg, channel, rate, rng):
     """Re-simulate the subject's trials with one channel partially dropped."""
     from repro.datasets import PhysiologicalSimulator
     from repro.resilience.faults import ChannelDropout, FaultPlan
@@ -134,9 +138,9 @@ def _maps_with_channel_dropout(record, dataset_cfg, channel, rate, rng):
         seed=0,
     )
     maps = []
-    for trial in record.schedule.trials:
+    for trial in draw.schedule.trials:
         raw = sim.simulate_trial(
-            record.profile, trial.label, trial.duration_seconds, rng
+            draw.profile, trial.label, trial.duration_seconds, rng
         )
         corrupted = plan.apply_to_signals(raw, fs, rng=rng)
         vectors = fe.extract_recording(
@@ -146,23 +150,21 @@ def _maps_with_channel_dropout(record, dataset_cfg, channel, rate, rng):
             build_feature_map(
                 vectors[: dataset_cfg.windows_per_map],
                 label=trial.label,
-                subject_id=record.subject_id,
+                subject_id=draw.profile.subject_id,
             )
         )
     return maps
 
 
-def test_ablation_fault_severity_sweep(
-    subject_and_model, bench_dataset, benchmark
-):
+def test_ablation_fault_severity_sweep(subject_and_model, benchmark):
     """Accuracy vs channel-dropout severity, per modality.
 
     The degradation curve behind the resilience runtime: how much
     accuracy each modality's loss costs, and that a fully-dead channel
     degrades the classifier instead of crashing it.
     """
-    model, record = subject_and_model
-    cfg = bench_dataset.config
+    model, draw = subject_and_model
+    cfg = bench_dataset_config()
     rates = (0.0, 0.25, 0.5, 0.75)
     channels = ("bvp", "gsr", "skt")
 
@@ -171,7 +173,7 @@ def test_ablation_fault_severity_sweep(
         for channel in channels:
             rng = np.random.default_rng(1)
             for rate in rates:
-                maps = _maps_with_channel_dropout(record, cfg, channel, rate, rng)
+                maps = _maps_with_channel_dropout(draw, cfg, channel, rate, rng)
                 series[(channel, rate)] = model.evaluate(maps)["accuracy"]
         lines = ["Ablation -- accuracy vs channel-dropout severity"]
         header = f"{'channel':>9}" + "".join(f"{r:>8.2f}" for r in rates)

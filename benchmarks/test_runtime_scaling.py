@@ -25,9 +25,10 @@ from repro.core import (
     TrainingConfig,
     clear_validation,
 )
-from repro.datasets import SyntheticWEMAC, WEMACConfig
+from repro.datasets import WEMACConfig
 from repro.orchestration import PipelineGraph, Stage
 from repro.runtime import ParallelExecutor, SerialExecutor
+from repro.scenarios import WEMACScenario
 
 from conftest import bench_dataset_config
 
@@ -84,22 +85,22 @@ def test_generation_scaling_and_cache(tmp_path):
     cfg = bench_dataset_config()
     cache_dir = tmp_path / "cache"
 
-    serial, serial_s = _timed(SyntheticWEMAC(cfg).generate)
+    serial, serial_s = _timed(WEMACScenario(cfg).materialize)
     parallel, parallel_s = _timed(
-        SyntheticWEMAC(cfg).generate, executor=ParallelExecutor(WORKERS)
+        WEMACScenario(cfg).materialize, executor=ParallelExecutor(WORKERS)
     )
     assert _maps_equal(serial, parallel)
 
-    cold, cold_s = _timed(SyntheticWEMAC(cfg).generate, cache_dir=cache_dir)
-    warm, warm_s = _timed(SyntheticWEMAC(cfg).generate, cache_dir=cache_dir)
+    cold, cold_s = _timed(WEMACScenario(cfg).materialize, cache_dir=cache_dir)
+    warm, warm_s = _timed(WEMACScenario(cfg).materialize, cache_dir=cache_dir)
     assert _maps_equal(serial, cold)
     assert _maps_equal(serial, warm)
 
     map_count = sum(len(s.maps) for s in warm.subjects)
     # Zero re-extractions on a warm cache: every map lookup hits.
-    assert warm.runtime.cache_misses == 0
-    assert warm.runtime.cache_hits == map_count
-    assert cold.runtime.cache_misses == map_count
+    assert warm.cache_misses == 0
+    assert warm.cache_hits == map_count
+    assert cold.cache_misses == map_count
 
     _merge_report(
         "generation",
@@ -113,7 +114,7 @@ def test_generation_scaling_and_cache(tmp_path):
             "cold_cache_s": round(cold_s, 3),
             "warm_cache_s": round(warm_s, 3),
             "cache_speedup": round(cold_s / warm_s, 1) if warm_s else None,
-            "warm_hit_rate": warm.runtime.cache_hit_rate,
+            "warm_hit_rate": warm.cache_hits / map_count,
         },
     )
     print(
@@ -262,7 +263,7 @@ def test_stage_graph_smoke(tmp_path):
     """Tier-1-safe stage-graph variant: tiny corpus, 2 folds, seconds."""
     cfg = WEMACConfig.tiny(seed=0)
     smoke_cfg = CLEARConfig.fast(seed=0)
-    dataset = SyntheticWEMAC(cfg).generate()
+    dataset = WEMACScenario(cfg).materialize()
     direct = clear_validation(dataset, smoke_cfg, max_folds=2)
     graphed = _graph_clear_validation(dataset, smoke_cfg, 2)
     _assert_graph_matches_direct(direct, graphed)
@@ -292,15 +293,16 @@ def test_runtime_smoke(tmp_path):
     )
     cache_dir = tmp_path / "cache"
 
-    serial = SyntheticWEMAC(cfg).generate()
-    parallel = SyntheticWEMAC(cfg).generate(executor=ParallelExecutor(2))
+    serial = WEMACScenario(cfg).materialize()
+    parallel = WEMACScenario(cfg).materialize(executor=ParallelExecutor(2))
     assert _maps_equal(serial, parallel)
 
-    cold = SyntheticWEMAC(cfg).generate(cache_dir=cache_dir)
-    warm = SyntheticWEMAC(cfg).generate(cache_dir=cache_dir)
+    cold = WEMACScenario(cfg).materialize(cache_dir=cache_dir)
+    warm = WEMACScenario(cfg).materialize(cache_dir=cache_dir)
     map_count = sum(len(s.maps) for s in warm.subjects)
-    assert warm.runtime.cache_misses == 0
-    assert warm.runtime.cache_hits == map_count
+    assert warm.cache_misses == 0
+    assert warm.cache_hits == map_count
+    assert cold.cache_misses == map_count
     assert _maps_equal(serial, warm) and _maps_equal(serial, cold)
 
     base = clear_validation(serial, smoke_cfg, max_folds=2)

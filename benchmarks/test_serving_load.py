@@ -37,8 +37,9 @@ from repro.core import (
     ModelConfig,
     TrainingConfig,
 )
-from repro.datasets import SyntheticWEMAC, WEMACConfig
+from repro.datasets import WEMACConfig
 from repro.resilience.retry import FakeClock
+from repro.scenarios import WEMACScenario
 from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
@@ -284,7 +285,7 @@ SMOKE_POLICY = BatchPolicy(max_batch=16, max_wait_s=2.0, canonical_rows=4)
 
 @pytest.fixture(scope="module")
 def smoke_fleet():
-    dataset = SyntheticWEMAC(WEMACConfig.tiny(seed=0)).generate()
+    dataset = WEMACScenario(WEMACConfig.tiny(seed=0)).materialize()
     base_maps = {s.subject_id: list(s.maps) for s in dataset.subjects}
     system = CLEAR(SMOKE_CFG).fit(base_maps)
     return system, base_maps

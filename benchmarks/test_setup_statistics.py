@@ -45,7 +45,7 @@ def test_setup_statistics(bench_dataset, bench_config, benchmark):
             "(paper: [17, 13, 7, 7])"
         )
         lines.append(
-            f"  fear fraction: {summary['fear_fraction']:.2f} (binary task)"
+            f"  fear fraction: {summary['positive_fraction']:.2f} (binary task)"
         )
         return "\n".join(lines)
 

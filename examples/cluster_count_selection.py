@@ -18,12 +18,13 @@ from repro.clustering import (
     select_k,
     subject_matrix,
 )
-from repro.datasets import SyntheticWEMAC, WEMACConfig
+from repro.datasets import WEMACConfig
+from repro.scenarios import WEMACScenario
 
 
 def main() -> None:
     print("=== Selecting the number of clusters K ===\n")
-    dataset = SyntheticWEMAC(WEMACConfig.small(seed=0)).generate()
+    dataset = WEMACScenario(WEMACConfig.small(seed=0)).materialize()
     maps_by = {s.subject_id: list(s.maps) for s in dataset.subjects}
 
     signatures = StandardScaler().fit_transform(subject_matrix(maps_by))

@@ -18,14 +18,15 @@ Run:  python examples/cold_start_new_user.py
 import numpy as np
 
 from repro.core import CLEAR, CLEARConfig
-from repro.datasets import SyntheticWEMAC, WEMACConfig
+from repro.datasets import WEMACConfig
 from repro.resilience import DegradationPolicy
+from repro.scenarios import WEMACScenario
 from repro.signals import subject_signature
 
 
 def main() -> None:
     print("=== Cold-start cluster assignment study ===\n")
-    dataset = SyntheticWEMAC(WEMACConfig.small(seed=0)).generate()
+    dataset = WEMACScenario(WEMACConfig.small(seed=0)).materialize()
     config = CLEARConfig.fast(seed=0)
 
     # Keep the demo quick: LOSO over the first few volunteers.

@@ -17,12 +17,13 @@ import numpy as np
 
 from repro import viz
 from repro.core import CLEAR, CLEARConfig, DriftDetector
-from repro.datasets import SyntheticWEMAC, WEMACConfig
+from repro.datasets import WEMACConfig
+from repro.scenarios import WEMACScenario
 
 
 def main() -> None:
     print("=== Drift detection and adaptive re-assignment ===\n")
-    dataset = SyntheticWEMAC(WEMACConfig.small(seed=0)).generate()
+    dataset = WEMACScenario(WEMACConfig.small(seed=0)).materialize()
     maps_by = {s.subject_id: list(s.maps) for s in dataset.subjects}
     system = CLEAR(CLEARConfig.fast(seed=0)).fit(maps_by)
 

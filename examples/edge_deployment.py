@@ -10,13 +10,14 @@ Run:  python examples/edge_deployment.py
 """
 
 from repro.core import CLEAR, CLEARConfig
-from repro.datasets import SyntheticWEMAC, WEMACConfig
+from repro.datasets import WEMACConfig
 from repro.edge import ALL_DEVICES, EdgeDeployment
+from repro.scenarios import WEMACScenario
 
 
 def main() -> None:
     print("=== Cloud-edge deployment of CLEAR ===\n")
-    dataset = SyntheticWEMAC(WEMACConfig.small(seed=0)).generate()
+    dataset = WEMACScenario(WEMACConfig.small(seed=0)).materialize()
     # Pick a new user from the most common archetype so their cluster
     # model was trained on several similar volunteers.
     new_user = dataset.subjects[0]

@@ -20,12 +20,13 @@ from repro.core import (
     federated_train_cluster,
     train_on_maps,
 )
-from repro.datasets import SyntheticWEMAC, WEMACConfig
+from repro.datasets import WEMACConfig
+from repro.scenarios import WEMACScenario
 
 
 def main() -> None:
     print("=== Federated per-cluster pre-training ===\n")
-    dataset = SyntheticWEMAC(WEMACConfig.small(seed=0)).generate()
+    dataset = WEMACScenario(WEMACConfig.small(seed=0)).materialize()
     maps_by = {s.subject_id: list(s.maps) for s in dataset.subjects}
     config = CLEARConfig.fast(seed=0)
 

@@ -28,8 +28,9 @@ from repro.core import (
     ModelConfig,
     TrainingConfig,
 )
-from repro.datasets import SyntheticWEMAC, WEMACConfig
+from repro.datasets import WEMACConfig
 from repro.resilience.retry import FakeClock
+from repro.scenarios import WEMACScenario
 from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
@@ -77,7 +78,7 @@ def build_service(system, sequential=False, admission=None):
 
 def main():
     print("== Fit: cloud stage on the synthetic corpus ==")
-    dataset = SyntheticWEMAC(WEMACConfig.tiny(seed=0)).generate()
+    dataset = WEMACScenario(WEMACConfig.tiny(seed=0)).materialize()
     base_maps = {s.subject_id: list(s.maps) for s in dataset.subjects}
     system = CLEAR(CFG).fit(base_maps)
     print(f"clusters: {sorted(system.cluster_models)}")

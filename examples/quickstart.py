@@ -14,7 +14,8 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.core import CLEAR, CLEARConfig
-from repro.datasets import SyntheticWEMAC, WEMACConfig
+from repro.datasets import WEMACConfig
+from repro.scenarios import WEMACScenario
 
 
 def main() -> None:
@@ -22,7 +23,7 @@ def main() -> None:
 
     # -- 1. Data ---------------------------------------------------------
     print("Generating synthetic WEMAC corpus (16 volunteers)...")
-    dataset = SyntheticWEMAC(WEMACConfig.small(seed=0)).generate()
+    dataset = WEMACScenario(WEMACConfig.small(seed=0)).materialize()
     print(f"  corpus: {dataset.summary()}\n")
 
     # Hold one volunteer out to play the role of the new user.
@@ -52,8 +53,8 @@ def main() -> None:
         f"Cold-start assignment for new user {new_user.subject_id}: "
         f"cluster {assignment.cluster} (margin {assignment.margin():.3f})"
     )
-    held_back = new_user.maps[1:]
-    wo_ft = system.model_for(assignment.cluster).evaluate(held_back)
+    rest = new_user.maps[1:]
+    wo_ft = system.model_for(assignment.cluster).evaluate(rest)
     print(f"  accuracy without fine-tuning: {wo_ft['accuracy']:.2%}\n")
 
     # -- 4. Fine-tuning -----------------------------------------------------
@@ -61,7 +62,7 @@ def main() -> None:
     from repro.datasets import split_maps_by_fraction
 
     ft_maps, test_maps = split_maps_by_fraction(
-        held_back, 0.25, np.random.default_rng(0), stratified=True
+        rest, 0.25, np.random.default_rng(0), stratified=True
     )
     print(f"Fine-tuning with {len(ft_maps)} labelled maps...")
     baseline = system.model_for(assignment.cluster).evaluate(test_maps)

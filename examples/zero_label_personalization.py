@@ -22,12 +22,13 @@ from repro.core import (
     pseudo_label_fine_tune,
     save_system,
 )
-from repro.datasets import SyntheticWEMAC, WEMACConfig
+from repro.datasets import WEMACConfig
+from repro.scenarios import WEMACScenario
 
 
 def main() -> None:
     print("=== Zero-label personalization ===\n")
-    dataset = SyntheticWEMAC(WEMACConfig.small(seed=0)).generate()
+    dataset = WEMACScenario(WEMACConfig.small(seed=0)).materialize()
     new_user = dataset.subjects[4]
     population = {
         s.subject_id: list(s.maps)

@@ -22,8 +22,9 @@ import numpy as np
 
 from .core import CLEAR, CLEARConfig, split_new_user
 from .core.persistence import load_system, save_system
-from .datasets import SyntheticWEMAC, WEMACConfig
+from .datasets import WEMACConfig
 from .datasets.io import load_dataset, save_dataset
+from .scenarios import WEMACScenario
 
 PRESETS = {
     "tiny": WEMACConfig.tiny,
@@ -35,7 +36,7 @@ PRESETS = {
 def cmd_generate(args: argparse.Namespace) -> int:
     config = PRESETS[args.preset](seed=args.seed)
     print(f"generating corpus (preset={args.preset}, seed={args.seed})...")
-    dataset = SyntheticWEMAC(config).generate()
+    dataset = WEMACScenario(config).materialize()
     path = save_dataset(dataset, args.out)
     summary = dataset.summary()
     print(

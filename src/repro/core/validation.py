@@ -9,9 +9,10 @@ Protocols (paper §IV-B):
   *other* clusters (robustness test).
 * **CLEAR validation** — full-pipeline LOSO: volunteer V_x is held out
   of clustering and pre-training; CA assigns V_x from 10 % unlabeled
-  data; the assigned cluster's checkpoint is evaluated on V_x's
-  remaining data (**CLEAR w/o FT**), other clusters' checkpoints give
-  **RT CLEAR**, and fine-tuning with 20 % labels gives **CLEAR w FT**.
+  data; 20 % labelled data is set aside for fine-tuning, and on the
+  remaining test maps the assigned cluster's checkpoint gives **CLEAR
+  w/o FT**, the other clusters' checkpoints give **RT CLEAR**, and the
+  fine-tuned checkpoint gives **CLEAR w FT**.
 
 Each protocol driver builds its work units — that part is protocol
 semantics: which maps train, which test, which RNG stream each fold
@@ -32,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..datasets.loaders import split_maps_by_fraction
-from ..datasets.wemac import WEMACDataset
 from ..orchestration.context import normalize_cache_dir
 from ..orchestration.folds import run_fold_plan
 from ..orchestration.grouping import (
@@ -43,14 +43,15 @@ from ..orchestration.grouping import (
 from ..orchestration.provenance import Provenance
 from ..runtime.executor import Executor, RuntimeStats, spawn_seeds
 from ..scenarios.adapter import population_records
-from ..scenarios.base import Scenario
+from ..scenarios.base import MaterializedPopulation, Scenario
 from ..signals.feature_map import FeatureMap, subject_signature
 from .config import CLEARConfig
 
-#: Any population the Table-I drivers accept: the eager WEMAC corpus, a
-#: streamed Scenario (materialized through the sanctioned adapter), or
-#: any object exposing ``.subjects`` / ``.num_subjects``.
-PopulationSource = Union[WEMACDataset, Scenario, object]
+#: Any population the Table-I drivers accept: a materialized population
+#: (the WEMAC corpus), a streamed Scenario (materialized through the
+#: sanctioned adapter), or any object exposing ``.subjects`` /
+#: ``.num_subjects``.
+PopulationSource = Union[MaterializedPopulation, Scenario, object]
 from .pipeline import CLEAR
 from .results import FoldMetrics, MetricSummary
 from .trainer import TrainedModel, fine_tune, train_on_maps_cached
@@ -247,7 +248,6 @@ class UserSplit:
     ca_maps: List[FeatureMap]  # unlabeled, for cold-start assignment
     ft_maps: List[FeatureMap]  # labelled, for fine-tuning
     test_maps: List[FeatureMap]  # everything else
-    held_back: List[FeatureMap]  # ft_maps + test_maps, in recording order
 
 
 def split_new_user(
@@ -260,16 +260,16 @@ def split_new_user(
     maps, stratified over the held-back remainder, fine-tune; the rest
     is the test set.  Both draws come from ``rng``, CA first.
     """
-    ca_maps, held_back = split_maps_by_fraction(
+    ca_maps, rest = split_maps_by_fraction(
         maps, config.ca_data_fraction, rng, stratified=False
     )
     ft_maps, test_maps = split_maps_by_fraction(
-        held_back,
+        rest,
         config.ft_label_fraction / (1.0 - config.ca_data_fraction),
         rng,
         stratified=True,
     )
-    return UserSplit(ca_maps, ft_maps, test_maps, held_back)
+    return UserSplit(ca_maps, ft_maps, test_maps)
 
 
 @dataclass
@@ -326,16 +326,17 @@ def _clear_fold_unit(args: Tuple) -> Dict[str, object]:
     # full data?  (Not used by the pipeline; reported for analysis.)
     match = cluster == system.gc.assign_signature(subject_signature(record_maps))
 
-    # Step 3: evaluate without fine-tuning + robustness test.
+    # Step 3: evaluate without fine-tuning + robustness test, on the
+    # same test maps CLEAR w FT is scored on.
     checkpoint = system.model_for(cluster)
     others = [
         system.model_for(c) for c in range(config.num_clusters) if c != cluster
     ]
-    metrics = checkpoint.evaluate(split.held_back)
+    metrics = checkpoint.evaluate(split.test_maps)
     wo_fold = FoldMetrics(metrics["accuracy"], metrics["f1"], fold_id=v_x)
     rt_fold = None
     if others:
-        other_metrics = [model.evaluate(split.held_back) for model in others]
+        other_metrics = [model.evaluate(split.test_maps) for model in others]
         rt_fold = FoldMetrics(
             float(np.mean([m["accuracy"] for m in other_metrics])),
             float(np.mean([m["f1"] for m in other_metrics])),
@@ -389,11 +390,11 @@ def clear_validation(
     1. Fit the CLEAR cloud stage on the other N-1 volunteers.
     2. :func:`split_new_user` splits V_x's maps; CA assigns V_x from
        ``ca_data_fraction`` (10 %) of them, *unlabeled*.
-    3. The assigned checkpoint is evaluated on the held-back maps
-       (CLEAR w/o FT); every other cluster's checkpoint on the same
-       maps gives RT CLEAR.
+    3. The assigned checkpoint is evaluated on the test maps (CLEAR
+       w/o FT); every other cluster's checkpoint on the same maps gives
+       RT CLEAR.
     4. ``ft_label_fraction`` (20 %) of maps fine-tune the checkpoint;
-       evaluation on the remainder gives CLEAR w FT.
+       evaluation on the same test maps gives CLEAR w FT.
 
     ``result.folds`` keeps each fold's checkpoints, fine-tuned model and
     test maps, so the Table II edge experiments reuse these folds

@@ -1,24 +1,15 @@
 """Synthetic WEMAC-compatible corpus: virtual volunteers, stimuli, splits.
 
-The real WEMAC dataset is request-gated; this package generates a
-corpus with the same statistical structure (latent archetypes, fear /
-non-fear labels, multi-rate physiological channels) so the full CLEAR
-pipeline runs end-to-end offline.  See DESIGN.md for the substitution
-rationale.
+The real WEMAC dataset is request-gated; this package holds the pieces
+of a corpus with the same statistical structure (latent archetypes,
+fear / non-fear labels, multi-rate physiological channels) so the full
+CLEAR pipeline runs end-to-end offline: the physiological simulator,
+stimulus schedules, the corpus scale (:class:`WEMACConfig`), LOSO and
+fraction splits, and corpus I/O.  The corpus itself is drawn by
+:class:`repro.scenarios.WEMACScenario`.  See DESIGN.md for the
+substitution rationale.
 """
 
-from .emotions import (
-    EMOTION_INDEX,
-    EMOTION_NAMES,
-    EMOTIONS,
-    EmotionSimulator,
-    EmotionSpec,
-    EmotionTrial,
-    binary_schedule_from_emotions,
-    emotion_schedule,
-    get_emotion,
-    to_binary_fear,
-)
 from .loaders import (
     LOSOFold,
     loso_folds,
@@ -34,19 +25,9 @@ from .subject import (
     SubjectProfile,
     sample_subject,
 )
-from .wemac import SubjectRecord, SyntheticWEMAC, WEMACConfig, WEMACDataset
+from .wemac import WEMACConfig
 
 __all__ = [
-    "EMOTIONS",
-    "EMOTION_NAMES",
-    "EMOTION_INDEX",
-    "EmotionSpec",
-    "EmotionTrial",
-    "EmotionSimulator",
-    "emotion_schedule",
-    "binary_schedule_from_emotions",
-    "get_emotion",
-    "to_binary_fear",
     "FEAR",
     "NON_FEAR",
     "Trial",
@@ -59,9 +40,6 @@ __all__ = [
     "sample_subject",
     "PhysiologicalSimulator",
     "WEMACConfig",
-    "WEMACDataset",
-    "SubjectRecord",
-    "SyntheticWEMAC",
     "LOSOFold",
     "loso_folds",
     "split_maps_by_fraction",

@@ -1,10 +1,12 @@
-"""Corpus persistence: save/load generated datasets as .npz bundles.
+"""Corpus persistence: save/load generated populations as .npz bundles.
 
 Feature extraction dominates corpus generation time, so workflows that
 reuse a corpus (the CLI, repeated experiments) save it once and reload.
-Raw signal traces are not persisted — feature maps, labels, subject
-metadata, and the generating config are sufficient for every
-experiment in the repository.
+Raw signal traces are not persisted — a
+:class:`~repro.scenarios.base.MaterializedPopulation`'s feature maps,
+labels and per-subject ground truth (archetype, generation, device,
+imputed features) are sufficient for every experiment in the
+repository.
 """
 
 from __future__ import annotations
@@ -16,16 +18,20 @@ from typing import Union
 
 import numpy as np
 
+from ..scenarios.base import (
+    DeviceProfile,
+    MaterializedPopulation,
+    ScenarioSubject,
+)
 from ..signals.feature_map import FeatureMap
-from .stimuli import StimulusSchedule, Trial
-from .subject import ARCHETYPES, SubjectProfile
-from .wemac import SubjectRecord, WEMACConfig, WEMACDataset
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def save_dataset(dataset: WEMACDataset, path: Union[str, Path]) -> Path:
-    """Write a dataset to a single .npz file."""
+def save_dataset(
+    population: MaterializedPopulation, path: Union[str, Path]
+) -> Path:
+    """Write a population to a single .npz file."""
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
@@ -33,22 +39,23 @@ def save_dataset(dataset: WEMACDataset, path: Union[str, Path]) -> Path:
 
     meta = {
         "format_version": FORMAT_VERSION,
-        "config": dataclasses.asdict(dataset.config),
+        "name": population.name,
         "subjects": [],
     }
     arrays = {}
-    for record in dataset.subjects:
-        sid = record.subject_id
+    for subject in population.subjects:
+        sid = subject.subject_id
         meta["subjects"].append(
             {
                 "subject_id": sid,
-                "archetype_id": record.profile.archetype_id,
-                "params": dataclasses.asdict(record.profile.params),
-                "labels": [int(l) for l in record.labels],
-                "durations": [t.duration_seconds for t in record.schedule.trials],
+                "archetype_id": subject.archetype_id,
+                "generation": subject.generation,
+                "device": dataclasses.asdict(subject.device),
+                "imputed_features": subject.imputed_features,
+                "labels": [int(l) for l in subject.labels],
             }
         )
-        for i, fmap in enumerate(record.maps):
+        for i, fmap in enumerate(subject.maps):
             arrays[f"maps/{sid}/{i}"] = fmap.values
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
@@ -57,8 +64,8 @@ def save_dataset(dataset: WEMACDataset, path: Union[str, Path]) -> Path:
     return path
 
 
-def load_dataset(path: Union[str, Path]) -> WEMACDataset:
-    """Load a dataset saved by :func:`save_dataset`."""
+def load_dataset(path: Union[str, Path]) -> MaterializedPopulation:
+    """Load a population saved by :func:`save_dataset`."""
     path = Path(path)
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(bytes(data["__meta__"].tobytes()).decode("utf-8"))
@@ -66,28 +73,13 @@ def load_dataset(path: Union[str, Path]) -> WEMACDataset:
             raise ValueError(
                 f"unsupported dataset format: {meta.get('format_version')}"
             )
-        cfg_data = dict(meta["config"])
-        cfg_data["archetype_weights"] = tuple(cfg_data["archetype_weights"])
-        config = WEMACConfig(**cfg_data)
-
         subjects = []
-        from .subject import ArchetypeParams
-
         for entry in meta["subjects"]:
             sid = int(entry["subject_id"])
-            profile = SubjectProfile(
-                subject_id=sid,
-                archetype_id=int(entry["archetype_id"]),
-                params=ArchetypeParams(**entry["params"]),
-            )
+            device = dict(entry["device"])
+            for key in ("rate_scales", "missing_modalities"):
+                device[key] = tuple(device[key])
             labels = entry["labels"]
-            durations = entry["durations"]
-            schedule = StimulusSchedule(
-                tuple(
-                    Trial(int(label), float(duration))
-                    for label, duration in zip(labels, durations)
-                )
-            )
             maps = [
                 FeatureMap(
                     np.asarray(data[f"maps/{sid}/{i}"], dtype=np.float64),
@@ -96,5 +88,14 @@ def load_dataset(path: Union[str, Path]) -> WEMACDataset:
                 )
                 for i in range(len(labels))
             ]
-            subjects.append(SubjectRecord(profile, schedule, maps))
-    return WEMACDataset(config=config, subjects=subjects)
+            subjects.append(
+                ScenarioSubject(
+                    subject_id=sid,
+                    archetype_id=int(entry["archetype_id"]),
+                    maps=maps,
+                    device=DeviceProfile(**device),
+                    generation=int(entry["generation"]),
+                    imputed_features=int(entry["imputed_features"]),
+                )
+            )
+    return MaterializedPopulation(name=meta["name"], subjects=subjects)

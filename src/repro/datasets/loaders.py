@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..signals.feature_map import FeatureMap
-from .wemac import SubjectRecord, WEMACDataset
+
+if TYPE_CHECKING:
+    from ..scenarios.base import MaterializedPopulation, ScenarioSubject
 
 
 @dataclass
@@ -16,8 +18,8 @@ class LOSOFold:
     """One leave-one-subject-out fold."""
 
     held_out_id: int
-    train_subjects: List[SubjectRecord]
-    test_subject: SubjectRecord
+    train_subjects: List[ScenarioSubject]
+    test_subject: ScenarioSubject
 
     @property
     def train_maps(self) -> List[FeatureMap]:
@@ -28,7 +30,7 @@ class LOSOFold:
         return list(self.test_subject.maps)
 
 
-def loso_folds(dataset: WEMACDataset) -> Iterator[LOSOFold]:
+def loso_folds(dataset: MaterializedPopulation) -> Iterator[LOSOFold]:
     """Yield one fold per volunteer (the paper's LOSO protocol)."""
     for record in dataset.subjects:
         train = [s for s in dataset.subjects if s.subject_id != record.subject_id]
@@ -83,8 +85,8 @@ def split_maps_by_fraction(
 
 
 def random_subject_subset(
-    dataset: WEMACDataset, count: int, rng: np.random.Generator
-) -> List[SubjectRecord]:
+    dataset: MaterializedPopulation, count: int, rng: np.random.Generator
+) -> List[ScenarioSubject]:
     """Sample ``count`` distinct volunteers (the paper's General model
     uses x = 11 random volunteers, an average cluster size)."""
     if count < 1 or count > dataset.num_subjects:

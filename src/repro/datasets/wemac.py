@@ -1,4 +1,4 @@
-"""Synthetic WEMAC-compatible corpus generation.
+"""Scale of the synthetic WEMAC-compatible corpus.
 
 WEMAC (Miranda et al., 2022) is request-gated and unavailable offline,
 so the reproduction generates a corpus with the same statistical
@@ -6,31 +6,16 @@ structure: ~44 volunteers drawn from latent archetypes, multi-modal
 physiological recordings (BVP 64 Hz, GSR 4 Hz, SKT 4 Hz) under fear /
 non-fear video stimuli, converted into ~800 labelled 2D feature maps
 (123 features x W windows), exactly the pipeline input the paper uses.
+
+:class:`WEMACConfig` sizes that corpus; the corpus itself is
+``WEMACScenario(config).materialize()`` (:mod:`repro.scenarios.wemac`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
 
-import numpy as np
-
-from ..orchestration.graph import PipelineGraph
-from ..orchestration.stage import Stage, StageContext
-from ..runtime.executor import Executor, RuntimeStats
-from ..signals.feature_map import (
-    FeatureMap,
-    SubjectExtractionUnit,
-    extract_subject_maps,
-)
-from .stimuli import StimulusSchedule, balanced_schedule
-from .subject import (
-    NUM_ARCHETYPES,
-    PhysiologicalSimulator,
-    SubjectProfile,
-    sample_subject,
-)
+from .subject import NUM_ARCHETYPES
 
 
 @dataclass(frozen=True)
@@ -99,217 +84,3 @@ class WEMACConfig:
             seed=seed,
         )
 
-
-@dataclass
-class SubjectRecord:
-    """Everything generated for one volunteer."""
-
-    profile: SubjectProfile
-    schedule: StimulusSchedule
-    maps: List[FeatureMap]
-
-    @property
-    def subject_id(self) -> int:
-        return self.profile.subject_id
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([m.label for m in self.maps], dtype=np.int64)
-
-
-@dataclass
-class WEMACDataset:
-    """The generated corpus: per-subject feature maps plus ground truth."""
-
-    config: WEMACConfig
-    subjects: List[SubjectRecord]
-    #: How generation ran (executor shape, extraction cache hits/misses);
-    #: None for datasets loaded from disk or built by hand.
-    runtime: Optional[RuntimeStats] = None
-    #: Lineage of the generation graph (simulate → extract stages);
-    #: empty for datasets built by hand.
-    provenance: tuple = ()
-
-    def __repro_content__(self):
-        # Stable content: the config and every generated feature map.
-        # Runtime stats and provenance carry wall times and must never
-        # shift the dataset's digest.
-        return (
-            "WEMACDataset",
-            self.config,
-            tuple(
-                (
-                    record.subject_id,
-                    record.profile.archetype_id,
-                    tuple(
-                        (m.values, int(m.label), int(m.subject_id))
-                        for m in record.maps
-                    ),
-                )
-                for record in self.subjects
-            ),
-        )
-
-    @property
-    def num_subjects(self) -> int:
-        return len(self.subjects)
-
-    @property
-    def subject_ids(self) -> List[int]:
-        return [s.subject_id for s in self.subjects]
-
-    def subject(self, subject_id: int) -> SubjectRecord:
-        for record in self.subjects:
-            if record.subject_id == subject_id:
-                return record
-        raise KeyError(f"no subject with id {subject_id}")
-
-    def all_maps(self) -> List[FeatureMap]:
-        return [m for s in self.subjects for m in s.maps]
-
-    def maps_for(self, subject_ids: Sequence[int]) -> List[FeatureMap]:
-        wanted = set(subject_ids)
-        return [m for s in self.subjects if s.subject_id in wanted for m in s.maps]
-
-    def archetype_of(self, subject_id: int) -> int:
-        return self.subject(subject_id).profile.archetype_id
-
-    def archetype_assignment(self) -> Dict[int, int]:
-        """Ground-truth latent archetype per subject (for validation only)."""
-        return {s.subject_id: s.profile.archetype_id for s in self.subjects}
-
-    def summary(self) -> Dict[str, float]:
-        maps = self.all_maps()
-        labels = np.array([m.label for m in maps])
-        return {
-            "num_subjects": float(self.num_subjects),
-            "num_maps": float(len(maps)),
-            "num_features": float(maps[0].num_features) if maps else 0.0,
-            "windows_per_map": float(maps[0].num_windows) if maps else 0.0,
-            "fear_fraction": float(labels.mean()) if labels.size else 0.0,
-        }
-
-
-def _archetype_plan(config: WEMACConfig) -> List[int]:
-    """Assign archetypes to subjects per the configured weights."""
-    weights = np.asarray(config.archetype_weights, dtype=np.float64)
-    weights = weights / weights.sum()
-    counts = np.floor(weights * config.num_subjects).astype(int)
-    counts = np.maximum(counts, 1)  # at least one subject per archetype
-    while counts.sum() < config.num_subjects:
-        counts[int(np.argmax(weights - counts / config.num_subjects))] += 1
-    while counts.sum() > config.num_subjects:
-        counts[int(np.argmax(counts))] -= 1
-    plan: List[int] = []
-    for archetype_id, count in enumerate(counts):
-        plan.extend([archetype_id] * int(count))
-    return plan[: config.num_subjects]
-
-
-class SyntheticWEMAC:
-    """Generator for the synthetic WEMAC corpus."""
-
-    def __init__(self, config: Optional[WEMACConfig] = None):
-        self.config = config or WEMACConfig()
-
-    def generate(
-        self,
-        executor: Optional[Executor] = None,
-        cache_dir: Optional[Union[str, Path]] = None,
-    ) -> WEMACDataset:
-        """Simulate every volunteer and extract their feature maps.
-
-        Simulation stays serial (every subject draws from the one
-        corpus RNG stream), but feature extraction is pure and fans out
-        per subject through ``executor``; with ``cache_dir`` set,
-        byte-identical trials are loaded from the content-addressed
-        cache instead of re-extracted.  Results are bit-identical
-        across executors and cache states.
-        """
-        import time as _time
-
-        cfg = self.config
-        t0 = _time.perf_counter()
-
-        def _simulate_stage(ctx: StageContext):
-            # Serial by design: every subject draws from the one corpus
-            # RNG stream.  Extraction consumes no randomness, so
-            # deferring it to the next stage leaves the stream — and
-            # thus the corpus — unchanged.
-            rng = np.random.default_rng(cfg.seed)
-            simulator = PhysiologicalSimulator(cfg.fs_bvp, cfg.fs_gsr, cfg.fs_skt)
-            plan = _archetype_plan(cfg)
-            profiles = []
-            schedules = []
-            units: List[SubjectExtractionUnit] = []
-            for subject_id, archetype_id in enumerate(plan):
-                profile = sample_subject(
-                    subject_id, archetype_id, rng, jitter=cfg.subject_jitter
-                )
-                schedule = balanced_schedule(
-                    cfg.trials_per_subject, cfg.trial_seconds, rng
-                )
-                raw_trials = simulator.simulate_schedule(profile, schedule, rng)
-                profiles.append(profile)
-                schedules.append(schedule)
-                units.append(
-                    SubjectExtractionUnit(
-                        subject_id=subject_id,
-                        trials=list(raw_trials),
-                        labels=[t.label for t in schedule.trials],
-                        windows_per_map=cfg.windows_per_map,
-                        rates=(cfg.fs_bvp, cfg.fs_gsr, cfg.fs_skt),
-                        window_seconds=cfg.window_seconds,
-                        cache_dir=ctx.cache_dir,
-                    )
-                )
-            ctx.set_units(len(units))
-            return profiles, schedules, units
-
-        def _extract_stage(ctx: StageContext, simulated):
-            profiles, schedules, units = simulated
-            ctx.set_units(len(units))
-            results = ctx.executor.map(extract_subject_maps, units)
-            for result in results:
-                ctx.record_cache(result.cache_hits, result.cache_misses)
-            return [
-                SubjectRecord(profile, schedule, result.maps)
-                for profile, schedule, result in zip(profiles, schedules, results)
-            ]
-
-        graph = PipelineGraph(
-            "wemac_generate",
-            [
-                Stage(
-                    name="simulated",
-                    fn=_simulate_stage,
-                    config=cfg,
-                    seed=cfg.seed,
-                ),
-                Stage(
-                    name="subjects",
-                    fn=_extract_stage,
-                    requires=("simulated",),
-                    config=cfg,
-                    seed=cfg.seed,
-                ),
-            ],
-        )
-        run = graph.run(executor=executor, cache_dir=cache_dir, seed=cfg.seed)
-        extract_prov = run.provenance("subjects")
-        stats = RuntimeStats(
-            executor=extract_prov.executor,
-            workers=extract_prov.workers,
-            units=extract_prov.units,
-            wall_time_s=_time.perf_counter() - t0,
-            cache_hits=extract_prov.cache_hits,
-            cache_misses=extract_prov.cache_misses,
-        )
-        return WEMACDataset(
-            config=cfg,
-            subjects=run.value("subjects"),
-            runtime=stats,
-            provenance=tuple(
-                run.provenance(name) for name in ("simulated", "subjects")
-            ),
-        )

@@ -28,7 +28,7 @@ from ..core import (
     render_table,
     split_new_user,
 )
-from ..datasets import SyntheticWEMAC, WEMACConfig
+from ..datasets import WEMACConfig
 from ..edge import ALL_DEVICES, EdgeDeployment, profile_model
 from ..orchestration import (
     PipelineGraph,
@@ -37,6 +37,7 @@ from ..orchestration import (
     group_maps_by_subject,
 )
 from ..runtime import Executor
+from ..scenarios import WEMACScenario
 from ..signals import (
     BVP_FEATURE_NAMES,
     GSR_FEATURE_NAMES,
@@ -131,7 +132,7 @@ class ExperimentScale:
 
 
 def _generate(scale: ExperimentScale):
-    return SyntheticWEMAC(scale.dataset).generate(
+    return WEMACScenario(scale.dataset).materialize(
         executor=scale.executor(), cache_dir=scale.cache_dir
     )
 
@@ -651,7 +652,7 @@ def run_setup_statistics(
         and len(BVP_FEATURE_NAMES) == 84
         and len(GSR_FEATURE_NAMES) == 34
         and len(SKT_FEATURE_NAMES) == 5,
-        "balanced_task": abs(summary["fear_fraction"] - 0.5) < 0.1,
+        "balanced_task": abs(summary["positive_fraction"] - 0.5) < 0.1,
     }
     return ExperimentReport(
         experiment_id="setup",

@@ -20,7 +20,7 @@ def group_maps_by_subject(
 ) -> Dict[int, List]:
     """``{subject_id: [maps]}`` over records with ``subject_id``/``maps``.
 
-    Accepts a :class:`~repro.datasets.wemac.WEMACDataset` (via its
+    Accepts a :class:`~repro.scenarios.base.MaterializedPopulation` (via its
     ``subjects`` attribute) or any iterable of subject records.  Map
     lists are fresh copies, so callers may extend or filter them
     without mutating the source.  ``exclude`` drops one subject — the

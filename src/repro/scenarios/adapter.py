@@ -1,10 +1,10 @@
 """Adapters between streamed scenarios and record-oriented consumers.
 
-The Table-I validation drivers and the serving load generator were
-written against :class:`~repro.datasets.wemac.WEMACDataset` — an
-eagerly materialized population with ``.subjects`` /
-``.num_subjects``.  :func:`population_records` normalizes any
-population source onto that surface, materializing scenarios *here*,
+The Table-I validation drivers and the serving load generator consume
+a whole population with ``.subjects`` / ``.num_subjects`` — a
+:class:`~repro.scenarios.base.MaterializedPopulation`.
+:func:`population_records` normalizes any population source onto that
+surface, materializing scenarios *here*,
 inside the scenarios package, which is the one place the streaming
 contract sanctions whole-population views (lint rule RPR021).
 Validation-scale populations are tens of subjects, so this is the
@@ -29,7 +29,7 @@ def population_records(
     """Any population source, normalized to ``.subjects``/``.num_subjects``.
 
     * A :class:`Scenario` is materialized (sanctioned, small-scale).
-    * Anything already carrying ``.subjects`` (``WEMACDataset``,
+    * Anything already carrying ``.subjects`` (a
       ``MaterializedPopulation``) passes through untouched.
     * A plain sequence of subject-like records is wrapped.
     """

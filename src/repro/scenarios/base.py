@@ -145,6 +145,10 @@ class ScenarioSubject:
     generation: int = 0
     #: Feature entries the device screen imputed (missing modalities).
     imputed_features: int = 0
+    #: Extraction-cache hits / misses building this subject (0 for
+    #: feature-space scenarios, which extract nothing).
+    cache_hits: int = 0
+    cache_misses: int = 0
 
     @property
     def labels(self) -> np.ndarray:
@@ -180,9 +184,9 @@ def population_rng(seed: int, tag: int = 0) -> np.random.Generator:
 def archetype_counts(weights: Sequence[float], num_subjects: int) -> np.ndarray:
     """Archetype slot counts for a weighted plan (>=1 slot each).
 
-    Mirrors the WEMAC corpus plan arithmetic so a contiguous-block
-    assignment can be computed in O(num_archetypes) per subject instead
-    of building the whole plan list.
+    Archetype *a* owns the ``counts[a]`` slots after those of archetypes
+    ``0..a-1``, so :func:`archetype_for_slot` is O(num_archetypes) per
+    subject and no plan list is ever built.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.size < 1 or np.min(w) <= 0:
@@ -268,6 +272,20 @@ class MaterializedPopulation:
     @property
     def subject_ids(self) -> List[int]:
         return [s.subject_id for s in self.subjects]
+
+    @property
+    def cache_hits(self) -> int:
+        return sum(s.cache_hits for s in self.subjects)
+
+    @property
+    def cache_misses(self) -> int:
+        return sum(s.cache_misses for s in self.subjects)
+
+    def subject(self, subject_id: int) -> ScenarioSubject:
+        for subject in self.subjects:
+            if subject.subject_id == subject_id:
+                return subject
+        raise KeyError(f"no subject with id {subject_id}")
 
     def all_maps(self) -> List[FeatureMap]:
         return [m for s in self.subjects for m in s.maps]

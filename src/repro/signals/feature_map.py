@@ -236,8 +236,8 @@ def subject_signature(maps: Sequence[FeatureMap]) -> np.ndarray:
 def signature_matrix(records: Sequence) -> np.ndarray:
     """(n, F) stacked signatures for a chunk of subject-like records.
 
-    Accepts anything carrying ``.maps`` (dataset ``SubjectRecord``s,
-    streamed ``ScenarioSubject``s).  Each row is computed independently
+    Accepts anything carrying ``.maps`` (streamed or materialized
+    ``ScenarioSubject``s).  Each row is computed independently
     per subject, so concatenating chunk matrices row-wise is bitwise
     identical to building one matrix from the materialized population —
     the invariant the streaming clustering path relies on.

@@ -179,9 +179,9 @@ class TestExperimentGraphsPass:
 
     @pytest.fixture(scope="class")
     def tiny_dataset(self, tiny_scale):
-        from repro.datasets import SyntheticWEMAC
+        from repro.scenarios import WEMACScenario
 
-        return SyntheticWEMAC(tiny_scale.dataset).generate()
+        return WEMACScenario(tiny_scale.dataset).materialize()
 
     @pytest.fixture(scope="class")
     def captured_graphs(self, tiny_scale, tiny_dataset):

@@ -2,19 +2,20 @@
 
 import pytest
 
-from repro.datasets import SyntheticWEMAC, WEMACConfig
+from repro.datasets import WEMACConfig
+from repro.scenarios import WEMACScenario
 
 
 @pytest.fixture(scope="session")
 def tiny_dataset():
     """8 subjects x 4 trials; enough for pipeline mechanics tests."""
-    return SyntheticWEMAC(WEMACConfig.tiny(seed=0)).generate()
+    return WEMACScenario(WEMACConfig.tiny(seed=0)).materialize()
 
 
 @pytest.fixture(scope="session")
 def small_dataset():
     """16 subjects x 8 trials; enough structure for clustering tests."""
-    return SyntheticWEMAC(WEMACConfig.small(seed=0)).generate()
+    return WEMACScenario(WEMACConfig.small(seed=0)).materialize()
 
 
 @pytest.fixture(scope="session")

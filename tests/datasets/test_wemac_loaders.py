@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.datasets import (
-    SyntheticWEMAC,
     WEMACConfig,
     loso_folds,
     random_subject_subset,
     split_maps_by_fraction,
 )
+from repro.scenarios import WEMACScenario
+
+TINY = WEMACConfig.tiny(seed=0)  # the ``tiny_dataset`` fixture's config
 
 
 class TestWEMACConfig:
@@ -34,14 +36,16 @@ class TestWEMACConfig:
 class TestGeneratedCorpus:
     def test_summary_counts(self, tiny_dataset):
         summary = tiny_dataset.summary()
-        cfg = tiny_dataset.config
+        cfg = TINY
         assert summary["num_subjects"] == cfg.num_subjects
         assert summary["num_maps"] == cfg.num_subjects * cfg.trials_per_subject
         assert summary["num_features"] == 123
-        assert summary["windows_per_map"] == cfg.windows_per_map
+        assert {m.num_windows for m in tiny_dataset.all_maps()} == {
+            cfg.windows_per_map
+        }
 
     def test_balanced_labels(self, tiny_dataset):
-        assert tiny_dataset.summary()["fear_fraction"] == pytest.approx(0.5)
+        assert tiny_dataset.summary()["positive_fraction"] == pytest.approx(0.5)
 
     def test_every_archetype_present(self, tiny_dataset):
         archetypes = set(tiny_dataset.archetype_assignment().values())
@@ -57,31 +61,27 @@ class TestGeneratedCorpus:
         with pytest.raises(KeyError):
             tiny_dataset.subject(999)
 
-    def test_maps_for_subset(self, tiny_dataset):
-        maps = tiny_dataset.maps_for([0, 1])
-        expected = len(tiny_dataset.subject(0).maps) + len(
-            tiny_dataset.subject(1).maps
-        )
-        assert len(maps) == expected
-
     def test_determinism(self):
         cfg = WEMACConfig.tiny(seed=5)
-        a = SyntheticWEMAC(cfg).generate()
-        b = SyntheticWEMAC(cfg).generate()
+        a = WEMACScenario(cfg).materialize()
+        b = WEMACScenario(cfg).materialize()
         np.testing.assert_array_equal(
             a.subjects[0].maps[0].values, b.subjects[0].maps[0].values
         )
 
     def test_different_seeds_differ(self):
-        a = SyntheticWEMAC(WEMACConfig.tiny(seed=1)).generate()
-        b = SyntheticWEMAC(WEMACConfig.tiny(seed=2)).generate()
+        a = WEMACScenario(WEMACConfig.tiny(seed=1)).materialize()
+        b = WEMACScenario(WEMACConfig.tiny(seed=2)).materialize()
         assert not np.array_equal(
             a.subjects[0].maps[0].values, b.subjects[0].maps[0].values
         )
 
     def test_labels_match_schedule(self, tiny_dataset):
+        config = WEMACScenario(TINY).build_config()
         for record in tiny_dataset.subjects:
-            np.testing.assert_array_equal(record.labels, record.schedule.labels())
+            draw = WEMACScenario.draw_subject(config, record.subject_id)
+            assert draw.profile.archetype_id == record.archetype_id
+            np.testing.assert_array_equal(record.labels, draw.schedule.labels())
 
 
 class TestLOSO:
@@ -100,7 +100,7 @@ class TestLOSO:
                 assert m.subject_id != fold.held_out_id
 
     def test_fold_map_counts(self, tiny_dataset):
-        cfg = tiny_dataset.config
+        cfg = TINY
         fold = next(loso_folds(tiny_dataset))
         assert len(fold.test_maps) == cfg.trials_per_subject
         assert len(fold.train_maps) == (

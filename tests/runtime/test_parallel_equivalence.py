@@ -18,8 +18,9 @@ from repro.core import (
     TrainingConfig,
     clear_validation,
 )
-from repro.datasets import SyntheticWEMAC, WEMACConfig
+from repro.datasets import WEMACConfig
 from repro.runtime import ParallelExecutor, SerialExecutor
+from repro.scenarios import WEMACScenario
 
 #: Smallest config that exercises every pipeline stage (4 clusters,
 #: training, fine-tuning) while keeping one LOSO fold sub-second.
@@ -51,7 +52,7 @@ def canon(result):
 
 @pytest.fixture(scope="module")
 def dataset():
-    return SyntheticWEMAC(WEMACConfig.tiny(seed=0)).generate()
+    return WEMACScenario(WEMACConfig.tiny(seed=0)).materialize()
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +100,8 @@ class TestParallelEquivalence:
         assert warm.runtime.cache_hits == total_units
 
     def test_parallel_generation_bit_identical(self, dataset):
-        twin = SyntheticWEMAC(WEMACConfig.tiny(seed=0)).generate(
+        # Simulation and extraction both fan out per subject.
+        twin = WEMACScenario(WEMACConfig.tiny(seed=0)).materialize(
             executor=ParallelExecutor(2)
         )
         assert len(twin.subjects) == len(dataset.subjects)

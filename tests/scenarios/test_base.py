@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets.wemac import WEMACConfig, _archetype_plan
+from repro.datasets.wemac import WEMACConfig
 from repro.scenarios import (
     REFERENCE_DEVICE,
     DeviceProfile,
@@ -23,17 +23,18 @@ from repro.scenarios.devices import mask_missing_modalities
 class TestArchetypePlan:
     @pytest.mark.parametrize("num_subjects", [4, 8, 16, 47])
     def test_slot_assignment_matches_corpus_plan(self, num_subjects):
-        # The O(A) slot lookup must reproduce the corpus's O(N) plan
-        # exactly, or streamed archetypes diverge from the legacy corpus.
+        # Archetype a owns one contiguous run of slots, counts[a] long,
+        # in archetype order: the O(A) lookup is the whole plan.
         config = WEMACConfig(num_subjects=num_subjects)
-        plan = _archetype_plan(config)
         slots = [
             archetype_for_slot(
                 config.archetype_weights, num_subjects, subject_id
             )
             for subject_id in range(num_subjects)
         ]
-        assert slots == plan
+        counts = archetype_counts(config.archetype_weights, num_subjects)
+        assert slots == sorted(slots)
+        assert [slots.count(a) for a in range(len(counts))] == list(counts)
 
     def test_counts_cover_population_exactly(self):
         counts = archetype_counts((0.3, 0.25, 0.25, 0.2), 47)

@@ -39,6 +39,16 @@ class TestWEMACScenario:
         five = scenario_fingerprint(tiny.iter_subjects(chunk_size=5))
         assert one == five
 
+    def test_consumer_corpus_is_the_scenario_stream(self, tiny, tiny_dataset):
+        # Experiments, CLI, benches, examples and the test fixtures all
+        # build the WEMAC corpus as WEMACScenario(config).materialize().
+        from repro.experiments.runner import ExperimentScale, _generate
+
+        streamed = scenario_fingerprint(tiny.iter_subjects(chunk_size=5))
+        assert scenario_fingerprint(tiny_dataset.subjects) == streamed
+        experiments = _generate(ExperimentScale.tiny(seed=0))
+        assert scenario_fingerprint(experiments.subjects) == streamed
+
     def test_random_access_matches_stream(self, tiny):
         streamed = list(tiny.iter_subjects())[5]
         direct = tiny.subject(5)
@@ -205,7 +215,7 @@ class TestAdapters:
 
 class TestValidationIntegration:
     def test_table1_driver_accepts_a_scenario(self):
-        # The Table-I drivers were written against WEMACDataset; the
+        # The Table-I drivers consume a materialized population; the
         # population interface must let any scenario flow in unchanged.
         config = CLEARConfig(
             num_clusters=2,

@@ -49,7 +49,7 @@ class TestColdStartToPersonalizedPipeline:
         rng = np.random.default_rng(0)
 
         # 1. Cold start from 10 % unlabeled data.
-        ca_maps, held_back = split_maps_by_fraction(
+        ca_maps, rest = split_maps_by_fraction(
             new_user.maps, 0.10, rng, stratified=False
         )
         assignment = edge_system.assign_new_user(ca_maps)
@@ -57,11 +57,11 @@ class TestColdStartToPersonalizedPipeline:
 
         # 2. Use the cluster checkpoint immediately (no labels).
         checkpoint = edge_system.model_for(assignment.cluster)
-        preds = checkpoint.predict_classes(held_back)
-        assert preds.shape == (len(held_back),)
+        preds = checkpoint.predict_classes(rest)
+        assert preds.shape == (len(rest),)
 
         # 3. Fine-tune with 20 % labels; remaining data is the test set.
-        ft_maps, test_maps = split_maps_by_fraction(held_back, 0.25, rng)
+        ft_maps, test_maps = split_maps_by_fraction(rest, 0.25, rng)
         before = checkpoint.evaluate(test_maps)["accuracy"]
         tuned = edge_system.personalize(ft_maps, cluster=assignment.cluster)
         after = tuned.evaluate(test_maps)["accuracy"]
@@ -84,16 +84,20 @@ class TestColdStartToPersonalizedPipeline:
 
 class TestStreamingWithDeployedModel:
     def test_streaming_detection_with_cluster_checkpoint(
-        self, deployment_story, small_dataset
+        self, deployment_story
     ):
         """Stream a simulated trial through the deployed checkpoint."""
-        from repro.datasets import FEAR, PhysiologicalSimulator
+        from repro.datasets import FEAR, PhysiologicalSimulator, WEMACConfig
+        from repro.scenarios import WEMACScenario
 
         edge_system, new_user, _ = deployment_story
         cluster = edge_system.assign_new_user(new_user.maps[:1]).cluster
         checkpoint = edge_system.model_for(cluster)
 
-        cfg = small_dataset.config
+        cfg = WEMACConfig.small(seed=0)  # the ``small_dataset`` config
+        profile = WEMACScenario.draw_subject(
+            WEMACScenario(cfg).build_config(), new_user.subject_id
+        ).profile
         rates = SensorRates(bvp=cfg.fs_bvp, gsr=cfg.fs_gsr, skt=cfg.fs_skt)
         streaming = StreamingFeatureExtractor(
             rates, window_seconds=cfg.window_seconds
@@ -108,7 +112,7 @@ class TestStreamingWithDeployedModel:
         rng = np.random.default_rng(1)
         sim = PhysiologicalSimulator(cfg.fs_bvp, cfg.fs_gsr, cfg.fs_skt)
         seconds = cfg.window_seconds * (cfg.windows_per_map + 2)
-        raw = sim.simulate_trial(new_user.profile, FEAR, seconds, rng)
+        raw = sim.simulate_trial(profile, FEAR, seconds, rng)
         # Stream in 1-second chunks.
         chunk_b, chunk_g = int(cfg.fs_bvp), int(cfg.fs_gsr)
         for i in range(int(seconds)):
@@ -127,9 +131,10 @@ class TestRobustnessAcrossSeeds:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_pipeline_stable_across_corpus_seeds(self, seed):
         """The pipeline must run green regardless of corpus randomness."""
-        from repro.datasets import SyntheticWEMAC, WEMACConfig
+        from repro.datasets import WEMACConfig
+        from repro.scenarios import WEMACScenario
 
-        dataset = SyntheticWEMAC(WEMACConfig.tiny(seed=seed)).generate()
+        dataset = WEMACScenario(WEMACConfig.tiny(seed=seed)).materialize()
         population = {s.subject_id: list(s.maps) for s in dataset.subjects[:-1]}
         system = CLEAR(FAST_CFG).fit(population)
         new_user = dataset.subjects[-1]
