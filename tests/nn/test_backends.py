@@ -564,7 +564,7 @@ class TestGoldenFingerprint:
     padding, initializer threading, or batch order changes this hash.
     """
 
-    PINNED = "5a2a2ace76b7dcc20333257861eda8f987cab88a358af8b7924f656e671a8728"
+    PINNED = "960edb4782f1ff2e082b4786234dcae9a9f2ddba38637c3393c52b678813e60d"
 
     @staticmethod
     def _strip_volatile(obj):

@@ -191,7 +191,7 @@ class TestGoldenScenarioFingerprint:
         PYTHONPATH=src python -m pytest tests/serving/test_loadgen.py -k golden -q
     """
 
-    PINNED = "0742873eacf0ceac75c4155a08f229ee5b8a6c9efed3bdd0292004674733f856"
+    PINNED = "3b5f6bdf21f558079ab8f6558b96f96ae434512e5017fe37bfe0103766a41df4"
 
     def test_tiny_scenario_fingerprint_bit_identical(
         self, serving_system, tiny_maps_by_subject
