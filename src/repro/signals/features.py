@@ -7,13 +7,14 @@ of the paper): 84 BVP + 34 GSR + 5 SKT = 123 features per time window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bvp import BVP_FEATURE_NAMES, extract_bvp_features
-from .gsr import GSR_FEATURE_NAMES, extract_gsr_features
-from .skt import SKT_FEATURE_NAMES, extract_skt_features
+from .bvp import BVP_FEATURE_NAMES, bvp_feature_columns
+from .gsr import GSR_FEATURE_NAMES, gsr_feature_columns
+from .skt import SKT_FEATURE_NAMES, skt_feature_columns
+from .windows import num_windows, sliding_windows
 
 #: Canonical ordering of all 123 features (BVP, then GSR, then SKT).
 ALL_FEATURE_NAMES: List[str] = (
@@ -69,33 +70,43 @@ class FeatureExtractor:
     def feature_names(self) -> List[str]:
         return list(ALL_FEATURE_NAMES)
 
+    def _extract(
+        self, bvp: np.ndarray, gsr: np.ndarray, skt: np.ndarray
+    ) -> np.ndarray:
+        """(windows, 123) features of aligned (windows, samples) arrays."""
+        columns: Dict[str, np.ndarray] = {}
+        columns.update(bvp_feature_columns(bvp, self.rates.bvp))
+        columns.update(gsr_feature_columns(gsr, self.rates.gsr))
+        columns.update(skt_feature_columns(skt, self.rates.skt))
+        rows = np.stack([columns[name] for name in ALL_FEATURE_NAMES], axis=1)
+        # Guard against numerical blowups (entropies, ratios) so downstream
+        # clustering and DL training never see NaN/inf.
+        return np.nan_to_num(rows, nan=0.0, posinf=0.0, neginf=0.0)
+
     def extract_window(
         self, bvp: np.ndarray, gsr: np.ndarray, skt: np.ndarray
     ) -> np.ndarray:
-        """Extract the 123 features from one aligned window triple."""
-        features: Dict[str, float] = {}
-        features.update(extract_bvp_features(bvp, self.rates.bvp))
-        features.update(extract_gsr_features(gsr, self.rates.gsr))
-        features.update(extract_skt_features(skt, self.rates.skt))
-        vector = np.array(
-            [features[name] for name in ALL_FEATURE_NAMES], dtype=np.float64
-        )
-        # Guard against numerical blowups (entropies, ratios) so downstream
-        # clustering and DL training never see NaN/inf.
-        return np.nan_to_num(vector, nan=0.0, posinf=0.0, neginf=0.0)
+        """Extract the 123 features from one aligned window triple.
+
+        This is the one-row case of :meth:`extract_recording`.
+        """
+        return self._extract(
+            *(np.asarray(x, dtype=np.float64).reshape(1, -1) for x in (bvp, gsr, skt))
+        )[0]
+
+    def _geometry(self) -> List[Tuple[int, int]]:
+        """(window, step) in samples for BVP, GSR and SKT."""
+        return [
+            (int(self.window_seconds * fs), int(self.step_seconds * fs))
+            for fs in (self.rates.bvp, self.rates.gsr, self.rates.skt)
+        ]
 
     def window_counts(self, n_bvp: int, n_gsr: int, n_skt: int) -> int:
         """Number of aligned windows available across the three channels."""
-        counts = []
-        for n, fs in (
-            (n_bvp, self.rates.bvp),
-            (n_gsr, self.rates.gsr),
-            (n_skt, self.rates.skt),
-        ):
-            w = int(self.window_seconds * fs)
-            s = int(self.step_seconds * fs)
-            counts.append(max(0, (n - w) // s + 1) if n >= w else 0)
-        return min(counts)
+        return min(
+            num_windows(n, w, s)
+            for n, (w, s) in zip((n_bvp, n_gsr, n_skt), self._geometry())
+        )
 
     def extract_recording(
         self, bvp: np.ndarray, gsr: np.ndarray, skt: np.ndarray
@@ -103,21 +114,19 @@ class FeatureExtractor:
         """Slide over a full recording; returns (num_windows, 123).
 
         The three channels are segmented over the same wall-clock grid
-        so window *i* covers the same time span in each channel.
+        so window *i* covers the same time span in each channel.  Each
+        channel is cut once into a (windows, samples) array and every
+        feature family runs over that array; row *i* is bit-identical
+        to :meth:`extract_window` on window *i*.
         """
-        bvp = np.asarray(bvp, dtype=np.float64)
-        gsr = np.asarray(gsr, dtype=np.float64)
-        skt = np.asarray(skt, dtype=np.float64)
-        count = self.window_counts(bvp.size, gsr.size, skt.size)
+        channels = [
+            np.asarray(x, dtype=np.float64) for x in (bvp, gsr, skt)
+        ]
+        count = self.window_counts(*(x.size for x in channels))
         if count == 0:
             return np.empty((0, NUM_FEATURES), dtype=np.float64)
-
-        rows = []
-        for i in range(count):
-            segs = []
-            for x, fs in ((bvp, self.rates.bvp), (gsr, self.rates.gsr), (skt, self.rates.skt)):
-                w = int(self.window_seconds * fs)
-                s = int(self.step_seconds * fs)
-                segs.append(x[i * s : i * s + w])
-            rows.append(self.extract_window(*segs))
-        return np.stack(rows, axis=0)
+        windows = [
+            sliding_windows(x, w, s)[:count]
+            for x, (w, s) in zip(channels, self._geometry())
+        ]
+        return self._extract(*windows)

@@ -12,13 +12,32 @@ from typing import Dict, Tuple
 import numpy as np
 
 
-def _embed(x: np.ndarray, m: int) -> np.ndarray:
-    """Time-delay embedding with lag 1: rows are length-m subsequences."""
+#: Template rows compared per block: the distance matrix is built
+#: ``_MATCH_BLOCK`` rows at a time, so memory stays O(block * n).
+_MATCH_BLOCK = 256
+
+
+def _chebyshev_rows(x: np.ndarray, m: int):
+    """Row blocks of the pairwise Chebyshev distances between templates.
+
+    Templates are the lag-1, length-``m`` subsequences of ``x``; yields
+    ``(start, dist)`` with ``dist[a, j]`` the distance between templates
+    ``start + a`` and ``j``.  Absolute differences and maxima are exact,
+    so every entry equals the template-by-template loop bit for bit.
+    """
     n = x.size - m + 1
     if n <= 0:
         raise ValueError(f"signal of length {x.size} too short for m={m}")
-    idx = np.arange(m)[None, :] + np.arange(n)[:, None]
-    return x[idx]
+    for start in range(0, n, _MATCH_BLOCK):
+        stop = min(start + _MATCH_BLOCK, n)
+        dist = np.abs(x[start:stop, None] - x[None, :n])
+        for k in range(1, m):
+            np.maximum(
+                dist,
+                np.abs(x[start + k : stop + k, None] - x[None, k : n + k]),
+                out=dist,
+            )
+        yield start, dist
 
 
 def sample_entropy(x: np.ndarray, m: int = 2, r: float = None) -> float:
@@ -38,13 +57,11 @@ def sample_entropy(x: np.ndarray, m: int = 2, r: float = None) -> float:
         r = 0.2 * std
 
     def count_matches(mm: int) -> int:
-        emb = _embed(x, mm)
-        count = 0
-        # Chebyshev distance template matching, excluding self-matches.
-        for i in range(emb.shape[0] - 1):
-            dist = np.max(np.abs(emb[i + 1 :] - emb[i]), axis=1)
-            count += int(np.sum(dist <= r))
-        return count
+        # Template pairs i < j within r, excluding self-matches.
+        return sum(
+            int(np.count_nonzero(np.triu(dist <= r, k=start + 1)))
+            for start, dist in _chebyshev_rows(x, mm)
+        )
 
     b = count_matches(m)
     a = count_matches(m + 1)
@@ -67,12 +84,11 @@ def approximate_entropy(x: np.ndarray, m: int = 2, r: float = None) -> float:
         r = 0.2 * std
 
     def phi(mm: int) -> float:
-        emb = _embed(x, mm)
-        n = emb.shape[0]
-        counts = np.zeros(n)
-        for i in range(n):
-            dist = np.max(np.abs(emb - emb[i]), axis=1)
-            counts[i] = np.sum(dist <= r) / n  # includes self-match
+        n = x.size - mm + 1
+        # Fraction of templates within r of each template, self included.
+        counts = np.concatenate(
+            [np.count_nonzero(dist <= r, axis=1) for _, dist in _chebyshev_rows(x, mm)]
+        ) / n
         return float(np.mean(np.log(counts)))
 
     return float(phi(m) - phi(m + 1))

@@ -9,19 +9,24 @@ from scipy import signal as sps
 
 
 def welch_psd(
-    x: np.ndarray, fs: float, nperseg: int = None
+    x: np.ndarray, fs: float, nperseg: int = None, batched: bool = False
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Welch power spectral density; ``nperseg`` auto-sized for short windows."""
+    """Welch power spectral density; ``nperseg`` auto-sized for short windows.
+
+    ``x`` is one signal, or with ``batched`` a (windows, samples) array
+    whose rows get one PSD each (``psd`` is then (windows, bins), each
+    row bit-identical to the PSD of that row alone).
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
+    if x.ndim != 1 and not (batched and x.ndim == 2):
         raise ValueError(f"expected a 1D signal, got shape {x.shape}")
-    if x.size < 8:
-        raise ValueError(f"signal too short for PSD: {x.size}")
+    n = x.shape[-1]
+    if n < 8:
+        raise ValueError(f"signal too short for PSD: {n}")
     if nperseg is None:
-        nperseg = min(256, x.size)
-    nperseg = min(nperseg, x.size)
-    freqs, psd = sps.welch(x, fs=fs, nperseg=nperseg)
-    return freqs, psd
+        nperseg = min(256, n)
+    nperseg = min(nperseg, n)
+    return sps.welch(x, fs=fs, nperseg=nperseg)
 
 
 def band_power(
