@@ -33,31 +33,36 @@ findings with unused-suppression detection (RPR014), applies
 ``repro check-determinism`` CLI.
 """
 
-from .engine import (
-    AnalysisResult,
-    DATAFLOW_RULES,
-    analyze_paths,
-    apply_baseline,
-    load_baseline,
-    main,
-    save_baseline,
-)
-from .shapeflow import ArtifactFlowError, ArtifactSpec, check_stage_flow
-from .summaries import FileAnalysis, FunctionSummary, ModuleSummary, summarize_source
+import importlib
 
-__all__ = [
-    "AnalysisResult",
-    "DATAFLOW_RULES",
-    "analyze_paths",
-    "apply_baseline",
-    "load_baseline",
-    "main",
-    "save_baseline",
-    "ArtifactFlowError",
-    "ArtifactSpec",
-    "check_stage_flow",
-    "FileAnalysis",
-    "FunctionSummary",
-    "ModuleSummary",
-    "summarize_source",
-]
+#: Public name → defining submodule.  Resolved on first attribute access
+#: (PEP 562) so importing the package — as ``repro.scenarios`` does for
+#: ``shapeflow.ArtifactSpec`` — does not load the engine, which imports
+#: ``repro.analysis.lint`` (a runpy RuntimeWarning under
+#: ``python -m repro.analysis.lint``) and the whole analyzer.
+_EXPORTS = {
+    "AnalysisResult": "engine",
+    "DATAFLOW_RULES": "engine",
+    "analyze_paths": "engine",
+    "apply_baseline": "engine",
+    "load_baseline": "engine",
+    "main": "engine",
+    "save_baseline": "engine",
+    "ArtifactFlowError": "shapeflow",
+    "ArtifactSpec": "shapeflow",
+    "check_stage_flow": "shapeflow",
+    "FileAnalysis": "summaries",
+    "FunctionSummary": "summaries",
+    "ModuleSummary": "summaries",
+    "summarize_source": "summaries",
+}
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = list(_EXPORTS)
