@@ -4,18 +4,13 @@ The real WEMAC dataset is request-gated; this package holds the pieces
 of a corpus with the same statistical structure (latent archetypes,
 fear / non-fear labels, multi-rate physiological channels) so the full
 CLEAR pipeline runs end-to-end offline: the physiological simulator,
-stimulus schedules, the corpus scale (:class:`WEMACConfig`), LOSO and
-fraction splits, and corpus I/O.  The corpus itself is drawn by
+stimulus schedules, the corpus scale (:class:`WEMACConfig`), fraction
+splits, and corpus I/O.  The corpus itself is drawn by
 :class:`repro.scenarios.WEMACScenario`.  See DESIGN.md for the
 substitution rationale.
 """
 
-from .loaders import (
-    LOSOFold,
-    loso_folds,
-    random_subject_subset,
-    split_maps_by_fraction,
-)
+from .loaders import split_maps_by_fraction
 from .stimuli import FEAR, NON_FEAR, StimulusSchedule, Trial, balanced_schedule
 from .subject import (
     ARCHETYPES,
@@ -40,8 +35,5 @@ __all__ = [
     "sample_subject",
     "PhysiologicalSimulator",
     "WEMACConfig",
-    "LOSOFold",
-    "loso_folds",
     "split_maps_by_fraction",
-    "random_subject_subset",
 ]

@@ -1,44 +1,12 @@
-"""Dataset splitting: LOSO iteration and per-subject label-fraction splits."""
+"""Dataset splitting: per-subject label-fraction splits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..signals.feature_map import FeatureMap
-
-if TYPE_CHECKING:
-    from ..scenarios.base import MaterializedPopulation, ScenarioSubject
-
-
-@dataclass
-class LOSOFold:
-    """One leave-one-subject-out fold."""
-
-    held_out_id: int
-    train_subjects: List[ScenarioSubject]
-    test_subject: ScenarioSubject
-
-    @property
-    def train_maps(self) -> List[FeatureMap]:
-        return [m for s in self.train_subjects for m in s.maps]
-
-    @property
-    def test_maps(self) -> List[FeatureMap]:
-        return list(self.test_subject.maps)
-
-
-def loso_folds(dataset: MaterializedPopulation) -> Iterator[LOSOFold]:
-    """Yield one fold per volunteer (the paper's LOSO protocol)."""
-    for record in dataset.subjects:
-        train = [s for s in dataset.subjects if s.subject_id != record.subject_id]
-        yield LOSOFold(
-            held_out_id=record.subject_id,
-            train_subjects=train,
-            test_subject=record,
-        )
 
 
 def split_maps_by_fraction(
@@ -82,16 +50,3 @@ def split_maps_by_fraction(
     if not remainder:
         remainder = [selected.pop()]
     return selected, remainder
-
-
-def random_subject_subset(
-    dataset: MaterializedPopulation, count: int, rng: np.random.Generator
-) -> List[ScenarioSubject]:
-    """Sample ``count`` distinct volunteers (the paper's General model
-    uses x = 11 random volunteers, an average cluster size)."""
-    if count < 1 or count > dataset.num_subjects:
-        raise ValueError(
-            f"count must be in [1, {dataset.num_subjects}], got {count}"
-        )
-    idx = rng.choice(dataset.num_subjects, size=count, replace=False)
-    return [dataset.subjects[i] for i in idx]

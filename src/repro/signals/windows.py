@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
-
 import numpy as np
 
 
@@ -46,27 +44,3 @@ def window_times(
     count = num_windows(n_samples, window, step)
     starts = np.arange(count) * step
     return (starts + window / 2.0) / fs
-
-
-def segment_multichannel(
-    channels: List[np.ndarray], windows: List[int], steps: List[int]
-) -> Iterator[Tuple[int, List[np.ndarray]]]:
-    """Jointly segment channels that share a timeline but differ in rate.
-
-    ``windows[i]``/``steps[i]`` are per-channel sample counts chosen so
-    that each channel's window covers the same wall-clock duration.
-    Yields ``(window_index, [segment_per_channel])`` for the common
-    number of windows across channels.
-    """
-    if not (len(channels) == len(windows) == len(steps)):
-        raise ValueError("channels, windows and steps must align")
-    counts = [
-        num_windows(len(ch), w, s) for ch, w, s in zip(channels, windows, steps)
-    ]
-    common = min(counts) if counts else 0
-    segmented = [
-        sliding_windows(ch, w, s)[:common]
-        for ch, w, s in zip(channels, windows, steps)
-    ]
-    for i in range(common):
-        yield i, [seg[i] for seg in segmented]

@@ -1,14 +1,9 @@
-"""Tests for corpus generation, LOSO folds, and fraction splits."""
+"""Tests for corpus generation and fraction splits."""
 
 import numpy as np
 import pytest
 
-from repro.datasets import (
-    WEMACConfig,
-    loso_folds,
-    random_subject_subset,
-    split_maps_by_fraction,
-)
+from repro.datasets import WEMACConfig, split_maps_by_fraction
 from repro.scenarios import WEMACScenario
 
 TINY = WEMACConfig.tiny(seed=0)  # the ``tiny_dataset`` fixture's config
@@ -84,30 +79,6 @@ class TestGeneratedCorpus:
             np.testing.assert_array_equal(record.labels, draw.schedule.labels())
 
 
-class TestLOSO:
-    def test_one_fold_per_subject(self, tiny_dataset):
-        folds = list(loso_folds(tiny_dataset))
-        assert len(folds) == tiny_dataset.num_subjects
-        held_out = {f.held_out_id for f in folds}
-        assert held_out == set(tiny_dataset.subject_ids)
-
-    def test_no_leakage(self, tiny_dataset):
-        for fold in loso_folds(tiny_dataset):
-            train_ids = {s.subject_id for s in fold.train_subjects}
-            assert fold.held_out_id not in train_ids
-            assert len(train_ids) == tiny_dataset.num_subjects - 1
-            for m in fold.train_maps:
-                assert m.subject_id != fold.held_out_id
-
-    def test_fold_map_counts(self, tiny_dataset):
-        cfg = TINY
-        fold = next(loso_folds(tiny_dataset))
-        assert len(fold.test_maps) == cfg.trials_per_subject
-        assert len(fold.train_maps) == (
-            (cfg.num_subjects - 1) * cfg.trials_per_subject
-        )
-
-
 class TestSplits:
     def _maps(self, tiny_dataset):
         return tiny_dataset.subjects[0].maps
@@ -141,16 +112,3 @@ class TestSplits:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="at least 2"):
             split_maps_by_fraction(self._maps(tiny_dataset)[:1], 0.5, rng)
-
-    def test_random_subject_subset(self, tiny_dataset):
-        rng = np.random.default_rng(0)
-        subset = random_subject_subset(tiny_dataset, 3, rng)
-        assert len(subset) == 3
-        assert len({s.subject_id for s in subset}) == 3
-
-    def test_random_subject_subset_bounds(self, tiny_dataset):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="count"):
-            random_subject_subset(tiny_dataset, 0, rng)
-        with pytest.raises(ValueError, match="count"):
-            random_subject_subset(tiny_dataset, 999, rng)

@@ -65,6 +65,21 @@ class TestFeatureExtractor:
         rec = fe.extract_recording(bvp, gsr, skt)
         assert rec.shape[0] == 5  # (60-20)/10 + 1
 
+    def test_joint_window_grid_counts(self):
+        # 20 s at 64 Hz and 4 Hz cut into 4 s windows: 256 and 16 samples,
+        # five windows covering the same time span in every channel.
+        fe = FeatureExtractor(window_seconds=4.0)
+        assert fe.window_counts(1280, 80, 80) == 5
+        bvp, gsr, skt = synth_channels(20.0)
+        assert fe.extract_recording(bvp, gsr, skt).shape == (5, 123)
+
+    def test_window_count_is_channel_minimum(self):
+        fe = FeatureExtractor(window_seconds=4.0)
+        # GSR holds 50 of the 80 samples the others have: 3 windows.
+        assert fe.window_counts(1280, 50, 80) == 3
+        bvp, gsr, skt = synth_channels(20.0)
+        assert fe.extract_recording(bvp, gsr[:50], skt).shape == (3, 123)
+
     def test_short_recording_empty(self):
         fe = FeatureExtractor(window_seconds=30.0)
         bvp, gsr, skt = synth_channels(10.0)

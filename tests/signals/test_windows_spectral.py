@@ -164,35 +164,3 @@ class TestHRVBands:
         freqs, psd = welch_psd(rng.normal(size=512), 4.0)
         bands = hrv_band_powers(freqs, psd)
         assert bands["lf_norm"] + bands["hf_norm"] == pytest.approx(1.0)
-
-
-class TestSegmentMultichannel:
-    def test_joint_segmentation_counts(self):
-        from repro.signals.windows import segment_multichannel
-
-        bvp = np.arange(640, dtype=float)  # 10 s at 64 Hz
-        gsr = np.arange(40, dtype=float)  # 10 s at 4 Hz
-        segments = list(
-            segment_multichannel([bvp, gsr], windows=[128, 8], steps=[128, 8])
-        )
-        assert len(segments) == 5
-        idx, (b_seg, g_seg) = segments[0]
-        assert idx == 0
-        assert b_seg.size == 128
-        assert g_seg.size == 8
-
-    def test_common_window_count_is_minimum(self):
-        from repro.signals.windows import segment_multichannel
-
-        long = np.arange(100, dtype=float)
-        short = np.arange(30, dtype=float)
-        segments = list(
-            segment_multichannel([long, short], windows=[10, 10], steps=[10, 10])
-        )
-        assert len(segments) == 3  # limited by the short channel
-
-    def test_mismatched_lists_raise(self):
-        from repro.signals.windows import segment_multichannel
-
-        with pytest.raises(ValueError, match="align"):
-            list(segment_multichannel([np.ones(10)], windows=[2, 2], steps=[1]))
