@@ -3,21 +3,18 @@
 Wearable deployments see corrupted signals; this bench measures how
 classification degrades with artifact severity and how much a quality
 gate recovers.  A second bench swaps the GC clustering algorithm
-(k-means refinement vs agglomerative/Ward) and compares archetype
-purity — a design choice DESIGN.md calls out.
+(k-means refinement vs scipy's agglomerative Ward and average
+linkage) and compares archetype purity — a design choice DESIGN.md
+calls out.
 """
 
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import fcluster, linkage
 
-from repro.clustering import (
-    GlobalClustering,
-    StandardScaler,
-    agglomerative_labels,
-    subject_matrix,
-)
+from repro.clustering import GlobalClustering, StandardScaler, subject_matrix
 from repro.signals import (
     FeatureExtractor,
     SensorRates,
@@ -211,16 +208,17 @@ def test_ablation_gc_algorithm(bench_dataset, benchmark):
             total += Counter(members).most_common(1)[0][1]
         return total / len(ordered_ids)
 
+    def agglomerative(x, method):
+        return fcluster(linkage(x, method), 4, "maxclust")
+
     def run():
         signatures = StandardScaler().fit_transform(subject_matrix(maps_by))
         gc = GlobalClustering(k=4, seed=0).fit(maps_by)
         km_labels = np.array([gc.assignments[sid] for sid in ordered_ids])
         results = {
             "kmeans+refinement": purity(km_labels),
-            "agglomerative/ward": purity(agglomerative_labels(signatures, 4, "ward")),
-            "agglomerative/avg": purity(
-                agglomerative_labels(signatures, 4, "average")
-            ),
+            "agglomerative/ward": purity(agglomerative(signatures, "ward")),
+            "agglomerative/avg": purity(agglomerative(signatures, "average")),
         }
         lines = ["Ablation -- GC clustering algorithm (archetype purity)"]
         for name, value in results.items():

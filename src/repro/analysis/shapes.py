@@ -24,10 +24,6 @@ import numpy as np
 #: rank checking and for the recurrent-after-flatten diagnostic.
 SEQUENCE_LAYERS = frozenset({"LSTM", "GRU", "SimpleRNN", "TemporalAttention"})
 
-#: Layer classes that collapse or rearrange ranks; after one of these a
-#: sequence layer usually cannot follow.
-FLATTENING_LAYERS = frozenset({"Flatten", "Dense"})
-
 #: Expected input rank (excluding batch) per layer class.  Classes not
 #: listed accept any rank (activations, Dropout) or validate themselves
 #: (Reshape, BatchNorm).

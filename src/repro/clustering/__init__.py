@@ -6,12 +6,6 @@ from .global_clustering import (
     GlobalClusteringResult,
     subject_matrix,
 )
-from .hierarchical import (
-    Dendrogram,
-    agglomerative_cluster,
-    agglomerative_labels,
-    cophenetic_heights,
-)
 from .kmeans import (
     KMeans,
     KMeansResult,
@@ -37,10 +31,6 @@ from .streaming import (
 from .subclusters import SubClusterModel, build_subclusters
 
 __all__ = [
-    "Dendrogram",
-    "agglomerative_cluster",
-    "agglomerative_labels",
-    "cophenetic_heights",
     "KMeans",
     "KMeansResult",
     "kmeans_plus_plus_init",

@@ -11,12 +11,7 @@ Public entry points:
   CA / fine-tune / test split.
 """
 
-from .adaptation import (
-    AdaptationEvent,
-    DriftDetector,
-    DriftObservation,
-    monitor_and_adapt,
-)
+from .adaptation import DriftDetector, DriftObservation
 from .architecture import (
     FEATURE_EXTRACTOR_LAYERS,
     architecture_summary,
@@ -60,8 +55,6 @@ from .validation import (
 __all__ = [
     "DriftDetector",
     "DriftObservation",
-    "AdaptationEvent",
-    "monitor_and_adapt",
     "CLEAR",
     "CLEARSystem",
     "save_system",

@@ -4,26 +4,20 @@ The paper motivates *adaptive* deep learning: user physiology is not
 stationary (stress phases, medication, seasons).  A deployed CLEAR
 system should notice when a user's signal distribution drifts away
 from their assigned cluster and react — re-assign, or re-personalize.
-This module provides that loop:
-
-* :class:`DriftDetector` — tracks the user's rolling feature signature
-  and scores its distance to the assigned cluster against the other
-  clusters.
-* :func:`monitor_and_adapt` — the policy: if another cluster has been
-  closer for ``patience`` consecutive checks, recommend re-assignment.
+:class:`DriftDetector` tracks the user's rolling feature signature,
+scores its distance to the assigned cluster against the other clusters,
+and recommends re-assignment once another cluster has been closer for
+``patience`` consecutive checks.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Deque, List, Optional, Sequence
 
 from ..clustering.assignment import ColdStartAssigner
 from ..signals.feature_map import FeatureMap
-from .pipeline import CLEARSystem
 
 
 @dataclass
@@ -125,44 +119,3 @@ class DriftDetector:
                 raise ValueError(f"new_cluster {new_cluster} out of range")
             self.assigned_cluster = int(new_cluster)
         self._consecutive_drift = 0
-
-
-@dataclass
-class AdaptationEvent:
-    """One adaptation performed by :func:`monitor_and_adapt`."""
-
-    at_batch: int
-    from_cluster: int
-    to_cluster: int
-
-
-def monitor_and_adapt(
-    system: CLEARSystem,
-    initial_cluster: int,
-    map_batches: Sequence[Sequence[FeatureMap]],
-    window_maps: int = 5,
-    patience: int = 3,
-) -> tuple:
-    """Run the adaptive loop over a stream of map batches.
-
-    Returns ``(final_cluster, events)`` where ``events`` lists every
-    re-assignment performed.  Each batch is one monitoring period (e.g.
-    a day of wear).
-    """
-    detector = DriftDetector(
-        system.assigner, initial_cluster, window_maps=window_maps, patience=patience
-    )
-    current = initial_cluster
-    events: List[AdaptationEvent] = []
-    for batch_idx, batch in enumerate(map_batches):
-        detector.update(list(batch))
-        if detector.reassignment_recommended:
-            target = detector.recommended_cluster()
-            events.append(
-                AdaptationEvent(
-                    at_batch=batch_idx, from_cluster=current, to_cluster=target
-                )
-            )
-            current = target
-            detector.reset(new_cluster=target)
-    return current, events

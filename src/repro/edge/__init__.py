@@ -5,13 +5,6 @@ TPU and the fp16 Raspberry Pi + Intel NCS2 — via post-training fake
 quantization plus analytic latency/power models calibrated to Table II.
 """
 
-from .battery import (
-    DutyCycle,
-    EnergyBudget,
-    battery_life_hours,
-    compare_devices,
-    daily_energy,
-)
 from .deployment import CostReport, EdgeDeployment
 from .devices import (
     ALL_DEVICES,
@@ -19,7 +12,6 @@ from .devices import (
     GPU_BASELINE,
     PI_NCS2,
     DeviceProfile,
-    get_device,
 )
 from .pruning import (
     SparsityReport,
@@ -56,11 +48,6 @@ __all__ = [
     "prune_model",
     "prune_trained",
     "sparsity_sweep",
-    "DutyCycle",
-    "EnergyBudget",
-    "daily_energy",
-    "battery_life_hours",
-    "compare_devices",
     "RingBuffer",
     "StreamingFeatureExtractor",
     "OnlineDetector",
@@ -73,7 +60,6 @@ __all__ = [
     "CORAL_TPU",
     "PI_NCS2",
     "ALL_DEVICES",
-    "get_device",
     "ModelProfile",
     "LayerProfile",
     "profile_model",

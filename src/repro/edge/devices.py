@@ -133,13 +133,3 @@ ALL_DEVICES: Dict[str, DeviceProfile] = {
     "coral_tpu": CORAL_TPU,
     "pi_ncs2": PI_NCS2,
 }
-
-
-def get_device(name: str) -> DeviceProfile:
-    """Look up a device profile by short name."""
-    try:
-        return ALL_DEVICES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown device {name!r}; options: {sorted(ALL_DEVICES)}"
-        ) from None

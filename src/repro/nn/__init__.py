@@ -22,7 +22,6 @@ from .callbacks import (
     EpochLogger,
     History,
 )
-from .callbacks_extra import CSVLogger, LambdaCallback, ReduceLROnPlateau
 from .checkpoint import load_model, model_from_config, model_to_config, save_model
 from .layers import (
     ELU,
@@ -49,22 +48,12 @@ from .layers import (
 from .losses import BinaryCrossEntropy, Loss, MeanSquaredError, SoftmaxCrossEntropy
 from .metrics import (
     accuracy,
-    balanced_accuracy,
     confusion_matrix,
     f1_score,
-    macro_f1,
     precision_recall_f1,
 )
 from .model import Sequential, iterate_minibatches
 from .optimizers import SGD, Adam, Optimizer, RMSProp
-from .schedules import (
-    Constant,
-    CosineDecay,
-    ExponentialDecay,
-    Schedule,
-    StepDecay,
-    WarmupWrapper,
-)
 
 __all__ = [
     "activations",
@@ -103,12 +92,6 @@ __all__ = [
     "SGD",
     "RMSProp",
     "Adam",
-    "Schedule",
-    "Constant",
-    "StepDecay",
-    "ExponentialDecay",
-    "CosineDecay",
-    "WarmupWrapper",
     "Sequential",
     "iterate_minibatches",
     "Callback",
@@ -116,17 +99,12 @@ __all__ = [
     "EpochLogger",
     "EarlyStopping",
     "BestWeights",
-    "ReduceLROnPlateau",
-    "CSVLogger",
-    "LambdaCallback",
     "save_model",
     "load_model",
     "model_to_config",
     "model_from_config",
     "accuracy",
     "f1_score",
-    "macro_f1",
-    "balanced_accuracy",
     "precision_recall_f1",
     "confusion_matrix",
 ]

@@ -15,11 +15,6 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def relu_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative of ReLU w.r.t. its input."""
-    return (x > 0.0).astype(x.dtype)
-
-
 def leaky_relu(x: np.ndarray, alpha: float = 0.01) -> np.ndarray:
     """Leaky ReLU: x for x>0, alpha*x otherwise."""
     return np.where(x > 0.0, x, alpha * x)

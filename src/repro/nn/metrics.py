@@ -1,7 +1,7 @@
 """Classification metrics: accuracy, precision/recall/F1, confusion matrix.
 
-These mirror sklearn semantics (binary F1 on the positive class;
-macro-F1 as the unweighted class mean) because the paper reports
+These mirror sklearn semantics (binary F1 on the positive class)
+because the paper reports
 accuracy and F1 with their standard definitions.
 """
 
@@ -80,29 +80,3 @@ def f1_score(
 ) -> float:
     """Binary F1 on the positive class."""
     return precision_recall_f1(y_true, y_pred, positive_class)["f1"]
-
-
-def macro_f1(
-    y_true: np.ndarray, y_pred: np.ndarray, num_classes: Optional[int] = None
-) -> float:
-    """Unweighted mean of per-class F1 scores."""
-    cm = confusion_matrix(y_true, y_pred, num_classes=num_classes)
-    scores = []
-    for cls in range(cm.shape[0]):
-        scores.append(
-            precision_recall_f1(y_true, y_pred, cls, num_classes=cm.shape[0])["f1"]
-        )
-    return float(np.mean(scores))
-
-
-def balanced_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean per-class recall; robust to class imbalance."""
-    cm = confusion_matrix(y_true, y_pred)
-    recalls = []
-    for cls in range(cm.shape[0]):
-        support = cm[cls, :].sum()
-        if support > 0:
-            recalls.append(cm[cls, cls] / support)
-    if not recalls:
-        raise ValueError("no classes with support")
-    return float(np.mean(recalls))

@@ -12,7 +12,6 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 import numpy as np
 
 from .layers.base import Layer
-from .schedules import Schedule, resolve_schedule
 
 
 class Optimizer:
@@ -21,7 +20,7 @@ class Optimizer:
     Parameters
     ----------
     lr:
-        Learning rate — a float or a :class:`repro.nn.schedules.Schedule`.
+        Learning rate, a positive float.
     clipnorm:
         Optional global gradient-norm clip applied before each step.
     weight_decay:
@@ -30,11 +29,14 @@ class Optimizer:
 
     def __init__(
         self,
-        lr: Union[float, Schedule] = 0.01,
+        lr: float = 0.01,
         clipnorm: Optional[float] = None,
         weight_decay: float = 0.0,
     ):
-        self.schedule = resolve_schedule(lr)
+        lr = float(lr)
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.lr = lr
         self.clipnorm = clipnorm
         self.weight_decay = float(weight_decay)
         self.iterations = 0
@@ -52,11 +54,6 @@ class Optimizer:
         self._slots[(layer.name, key, slot_name)] = value
 
     # -- stepping --------------------------------------------------------
-    @property
-    def lr(self) -> float:
-        """Current learning rate under the schedule."""
-        return float(self.schedule(self.iterations))
-
     def _clip(self, layers: Iterable[Layer]) -> None:
         if self.clipnorm is None:
             return
@@ -105,7 +102,7 @@ class SGD(Optimizer):
 
     def __init__(
         self,
-        lr: Union[float, Schedule] = 0.01,
+        lr: float = 0.01,
         momentum: float = 0.0,
         nesterov: bool = False,
         clipnorm: Optional[float] = None,
@@ -137,7 +134,7 @@ class RMSProp(Optimizer):
 
     def __init__(
         self,
-        lr: Union[float, Schedule] = 0.001,
+        lr: float = 0.001,
         rho: float = 0.9,
         eps: float = 1e-8,
         clipnorm: Optional[float] = None,
@@ -159,7 +156,7 @@ class Adam(Optimizer):
 
     def __init__(
         self,
-        lr: Union[float, Schedule] = 0.001,
+        lr: float = 0.001,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,

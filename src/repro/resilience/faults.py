@@ -39,8 +39,6 @@ from ..signals.quality import (
 
 SignalDict = Dict[str, np.ndarray]
 
-STREAM_CHANNELS = ("bvp", "gsr", "skt")
-
 
 def _require_channel(signals: Mapping[str, np.ndarray], channel: str) -> np.ndarray:
     if channel not in signals:

@@ -26,17 +26,7 @@ from .features import (
     FeatureExtractor,
     SensorRates,
 )
-from .filters import (
-    butter_bandpass,
-    butter_highpass,
-    butter_lowpass,
-    detrend,
-    interpolate_nans,
-    linear_trend,
-    moving_average,
-    resample_to,
-    zscore,
-)
+from .filters import butter_bandpass, butter_lowpass, linear_trend
 from .gsr import (
     GSR_FEATURE_NAMES,
     NUM_GSR_FEATURES,
@@ -58,11 +48,9 @@ from .quality import (
     clipping_fraction,
     finite_fraction,
     flatline_fraction,
-    inject_baseline_wander,
     inject_clipping,
     inject_dropout,
     inject_motion_spikes,
-    quality_by_channel,
     quality_report,
     spike_score,
 )
@@ -77,7 +65,7 @@ from .spectral import (
     total_power,
     welch_psd,
 )
-from .windows import num_windows, sliding_windows, window_times
+from .windows import num_windows, sliding_windows
 
 __all__ = [
     "ALL_FEATURE_NAMES",
@@ -104,14 +92,8 @@ __all__ = [
     "NUM_SKT_FEATURES",
     "extract_skt_features",
     "butter_bandpass",
-    "butter_highpass",
     "butter_lowpass",
-    "detrend",
-    "interpolate_nans",
     "linear_trend",
-    "moving_average",
-    "resample_to",
-    "zscore",
     "sample_entropy",
     "approximate_entropy",
     "poincare_descriptors",
@@ -132,13 +114,10 @@ __all__ = [
     "flatline_fraction",
     "clipping_fraction",
     "spike_score",
-    "quality_by_channel",
     "quality_report",
     "inject_motion_spikes",
     "inject_dropout",
     "inject_clipping",
-    "inject_baseline_wander",
     "num_windows",
     "sliding_windows",
-    "window_times",
 ]

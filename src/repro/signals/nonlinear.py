@@ -73,10 +73,16 @@ def sample_entropy(x: np.ndarray, m: int = 2, r: float = None) -> float:
 
 
 def approximate_entropy(x: np.ndarray, m: int = 2, r: float = None) -> float:
-    """Approximate entropy (Pincus, 1991), lag-1 embedding."""
+    """Approximate entropy (Pincus, 1991), lag-1 embedding.
+
+    Returns NaN for a signal with non-finite samples, before any
+    ``log``: templates holding them match nothing, not even themselves.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.size < m + 2:
         raise ValueError(f"signal too short for approximate entropy: {x.size}")
+    if not np.isfinite(x).all():
+        return float("nan")
     std = x.std()
     if std < 1e-12:
         return 0.0

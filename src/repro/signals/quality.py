@@ -1,8 +1,8 @@
 """Signal quality assessment and artifact injection.
 
-Wearable recordings are plagued by motion spikes, sensor dropouts,
-clipping, and baseline wander.  This module provides (a) injectors
-that synthesize those artifacts — used for failure-injection testing of
+Wearable recordings are plagued by motion spikes, sensor dropouts and
+clipping.  This module provides (a) injectors that synthesize those
+artifacts — used for failure-injection testing of
 the whole CLEAR pipeline — and (b) quality indices that quantify how
 corrupted a window is, so deployments can gate feature extraction on
 signal quality.
@@ -92,21 +92,6 @@ def inject_clipping(
     center = np.median(x) + rng.uniform(-center_jitter, center_jitter) * full_range
     half_range = 0.5 * full_range * fraction_of_range
     return np.clip(x, center - half_range, center + half_range)
-
-
-def inject_baseline_wander(
-    x: np.ndarray,
-    rng: np.random.Generator,
-    fs: float,
-    amplitude_scale: float = 3.0,
-    frequency_hz: float = 0.05,
-) -> np.ndarray:
-    """Add slow sinusoidal drift (cable sway / respiration coupling)."""
-    x = np.asarray(x, dtype=np.float64).copy()
-    t = np.arange(x.size) / fs
-    amp = amplitude_scale * (x.std() + 1e-9)
-    phase = rng.uniform(0, 2 * np.pi)
-    return x + amp * np.sin(2 * np.pi * frequency_hz * t + phase)
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +200,6 @@ def assess_quality(x: np.ndarray) -> QualityReport:
         overall=overall,
         finite=q_finite,
     )
-
-
-def quality_by_channel(
-    bvp: np.ndarray, gsr: np.ndarray, skt: np.ndarray
-) -> Dict[str, QualityReport]:
-    """Quality reports for the three CLEAR channels."""
-    return {
-        "bvp": assess_quality(bvp),
-        "gsr": assess_quality(gsr),
-        "skt": assess_quality(skt),
-    }
 
 
 @dataclass

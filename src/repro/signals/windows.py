@@ -33,14 +33,3 @@ def sliding_windows(
         x, shape=(count, window), strides=(step * stride, stride), writeable=False
     )
     return view.copy()
-
-
-def window_times(
-    n_samples: int, window: int, step: int, fs: float
-) -> np.ndarray:
-    """Center time (seconds) of each window produced by sliding_windows."""
-    if not fs > 0:
-        raise ValueError(f"fs must be positive, got {fs}")
-    count = num_windows(n_samples, window, step)
-    starts = np.arange(count) * step
-    return (starts + window / 2.0) / fs

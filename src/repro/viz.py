@@ -1,19 +1,18 @@
 """Dependency-free ASCII visualization for terminals and logs.
 
 The repository runs in environments without plotting libraries, so the
-diagnostics that a paper would put in figures — training curves,
-attention maps, cluster score profiles, confusion matrices — render as
-text.  Every function returns a string (print it, log it, or snapshot
-it in tests).
+diagnostics the examples print (a metric trace, the cold-start cluster
+scores) render as text.  Every function returns a string (print it,
+log it, or snapshot it in tests).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-#: Eight-level block characters for sparklines and heatmaps.
+#: Eight-level block characters for sparklines.
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
 
@@ -33,126 +32,15 @@ def sparkline(values: Sequence[float]) -> str:
     return "".join(_BLOCKS[1 + level] for level in levels)
 
 
-def line_plot(
-    values: Sequence[float],
-    height: int = 8,
-    title: str = "",
-    y_format: str = "{:.3f}",
-) -> str:
-    """Multi-row ASCII line plot with a y-axis range annotation."""
-    values = np.asarray(list(values), dtype=np.float64)
-    if values.size == 0:
-        return title
-    if height < 2:
-        raise ValueError(f"height must be >= 2, got {height}")
-    levels = np.round(_normalize(values) * (height - 1)).astype(int)
-    rows: List[str] = []
-    for row in range(height - 1, -1, -1):
-        cells = ["█" if level >= row else " " for level in levels]
-        rows.append("".join(cells))
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"max {y_format.format(values.max())}")
-    lines.extend(f"| {row}" for row in rows)
-    lines.append(f"min {y_format.format(values.min())}  (n={values.size})")
-    return "\n".join(lines)
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 40,
-    value_format: str = "{:.2f}",
-) -> str:
-    """Horizontal bar chart, one row per label."""
-    labels = list(labels)
-    values = np.asarray(list(values), dtype=np.float64)
-    if len(labels) != values.size:
-        raise ValueError("labels and values disagree in length")
-    if values.size == 0:
-        return ""
-    max_value = float(np.max(np.abs(values))) or 1.0
-    label_width = max(len(l) for l in labels)
-    lines = []
-    for label, value in zip(labels, values):
-        bar = "█" * max(0, int(round(abs(value) / max_value * width)))
-        lines.append(
-            f"{label:<{label_width}} |{bar:<{width}} {value_format.format(value)}"
-        )
-    return "\n".join(lines)
-
-
-def heatmap(
-    matrix: np.ndarray,
-    row_labels: Optional[Sequence[str]] = None,
-    title: str = "",
-) -> str:
-    """Block-character heatmap of a 2D array (rows as lines)."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2D matrix, got shape {matrix.shape}")
-    normalized = _normalize(matrix)
-    levels = np.round(normalized * (len(_BLOCKS) - 2)).astype(int)
-    lines = []
-    if title:
-        lines.append(title)
-    label_width = 0
-    if row_labels is not None:
-        row_labels = list(row_labels)
-        if len(row_labels) != matrix.shape[0]:
-            raise ValueError("row_labels length mismatch")
-        label_width = max(len(l) for l in row_labels)
-    for i in range(matrix.shape[0]):
-        prefix = f"{row_labels[i]:<{label_width}} " if row_labels else ""
-        lines.append(prefix + "".join(_BLOCKS[1 + l] for l in levels[i]))
-    return "\n".join(lines)
-
-
-def confusion_table(
-    cm: np.ndarray, class_names: Optional[Sequence[str]] = None
-) -> str:
-    """Confusion matrix as an aligned table with recall per row."""
-    cm = np.asarray(cm)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {cm.shape}")
-    n = cm.shape[0]
-    names = list(class_names) if class_names else [f"class {i}" for i in range(n)]
-    if len(names) != n:
-        raise ValueError("class_names length mismatch")
-    width = max(max(len(x) for x in names), 6)
-    header = " " * (width + 2) + "".join(f"{x:>{width + 2}}" for x in names)
-    header += f"{'recall':>{width + 2}}"
-    lines = [header]
-    for i in range(n):
-        row = f"{names[i]:<{width + 2}}"
-        row += "".join(f"{int(cm[i, j]):>{width + 2}}" for j in range(n))
-        support = cm[i].sum()
-        recall = cm[i, i] / support if support else 0.0
-        row += f"{recall:>{width + 2}.2f}"
-        lines.append(row)
-    return "\n".join(lines)
-
-
-def training_curves(history_epochs: List[Dict[str, float]]) -> str:
-    """Loss/accuracy sparklines from a Sequential fit history."""
-    if not history_epochs:
-        return "(no epochs)"
-    lines = []
-    for key in ("loss", "accuracy", "val_loss", "val_accuracy"):
-        series = [e[key] for e in history_epochs if key in e]
-        if series:
-            lines.append(
-                f"{key:<13} {sparkline(series)}  "
-                f"{series[0]:.4f} -> {series[-1]:.4f}"
-            )
-    return "\n".join(lines)
-
-
 def assignment_scores(scores: Dict[int, float]) -> str:
     """Bar chart of cold-start CA scores (lower bar = better fit)."""
-    clusters = sorted(scores)
-    return bar_chart(
-        [f"cluster {c}" for c in clusters],
-        [scores[c] for c in clusters],
-    )
+    if not scores:
+        return ""
+    label_width = max(len(f"cluster {c}") for c in scores)
+    max_value = max(abs(float(v)) for v in scores.values()) or 1.0
+    lines = []
+    for c in sorted(scores):
+        label, value = f"cluster {c}", float(scores[c])
+        bar = "█" * int(round(abs(value) / max_value * 40))
+        lines.append(f"{label:<{label_width}} |{bar:<40} {value:.2f}")
+    return "\n".join(lines)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CLEAR, CLEARConfig, FineTuneConfig, ModelConfig, TrainingConfig
-from repro.core.adaptation import DriftDetector, monitor_and_adapt
+from repro.core.adaptation import DriftDetector
 from repro.signals import FeatureMap
 
 FAST_CFG = CLEARConfig(
@@ -86,29 +86,3 @@ class TestDriftDetector:
             DriftDetector(system.assigner, 0, patience=0)
         with pytest.raises(ValueError, match="out of range"):
             DriftDetector(system.assigner, 99)
-
-
-class TestMonitorAndAdapt:
-    def test_adapts_to_sustained_drift(self, system, small_maps_by_subject):
-        sizes = system.gc.cluster_sizes()
-        ordered = np.argsort(sizes)[::-1]
-        home, away = int(ordered[0]), int(ordered[1])
-        away_maps = maps_of_cluster(system, small_maps_by_subject, away, limit=16)
-        batches = [away_maps[i : i + 2] for i in range(0, 16, 2)]
-        final, events = monitor_and_adapt(
-            system, home, batches, window_maps=4, patience=2
-        )
-        assert final == away
-        assert events
-        assert events[0].from_cluster == home
-        assert events[0].to_cluster == away
-
-    def test_no_events_for_stable_stream(self, system, small_maps_by_subject):
-        cluster = int(np.argmax(system.gc.cluster_sizes()))
-        maps = maps_of_cluster(system, small_maps_by_subject, cluster, limit=12)
-        batches = [maps[i : i + 3] for i in range(0, 12, 3)]
-        final, events = monitor_and_adapt(
-            system, cluster, batches, window_maps=4, patience=2
-        )
-        assert final == cluster
-        assert events == []

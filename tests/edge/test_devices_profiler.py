@@ -11,7 +11,6 @@ from repro.edge import (
     GPU_BASELINE,
     PI_NCS2,
     DeviceProfile,
-    get_device,
     profile_model,
     training_macs_per_example,
 )
@@ -69,10 +68,8 @@ class TestDeviceProfiles:
         assert PI_NCS2.scheme == "fp16"
 
     def test_registry(self):
-        assert get_device("coral_tpu") is CORAL_TPU
+        assert ALL_DEVICES["coral_tpu"] is CORAL_TPU
         assert set(ALL_DEVICES) == {"gpu", "coral_tpu", "pi_ncs2"}
-        with pytest.raises(ValueError, match="unknown device"):
-            get_device("tpu_v5")
 
     def test_invalid_profile_validation(self):
         with pytest.raises(ValueError, match="scheme"):

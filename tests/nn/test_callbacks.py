@@ -1,10 +1,9 @@
-"""Tests for training callbacks (core + extra)."""
+"""Tests for the training history callback."""
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.callbacks_extra import CSVLogger, LambdaCallback, ReduceLROnPlateau
 
 
 def make_blobs(rng, n=40):
@@ -35,91 +34,3 @@ class TestHistory:
         model.fit(x, y, epochs=3)
         model.fit(x, y, epochs=2)
         assert len(model.history.epochs) == 2
-
-
-class TestReduceLROnPlateau:
-    def test_reduces_when_stalled(self, rng):
-        x, y = make_blobs(rng)
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile(
-            optimizer=nn.Adam(lr=0.1)
-        )
-        # min_delta so large nothing ever "improves".
-        reducer = ReduceLROnPlateau(
-            monitor="loss", factor=0.5, patience=0, min_delta=100.0
-        )
-        model.fit(x, y, epochs=5, callbacks=[reducer])
-        assert reducer.reductions  # at least one reduction happened
-        assert model.optimizer.lr < 0.1
-
-    def test_respects_min_lr(self, rng):
-        x, y = make_blobs(rng)
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile(
-            optimizer=nn.Adam(lr=1e-5)
-        )
-        reducer = ReduceLROnPlateau(
-            monitor="loss", factor=0.1, patience=0, min_delta=100.0, min_lr=1e-6
-        )
-        model.fit(x, y, epochs=6, callbacks=[reducer])
-        assert model.optimizer.lr >= 1e-6 - 1e-12
-
-    def test_no_reduction_while_improving(self, rng):
-        x, y = make_blobs(rng)
-        model = nn.Sequential([nn.Dense(4), nn.ReLU(), nn.Dense(2)], seed=0)
-        model.compile(optimizer=nn.Adam(lr=0.05))
-        reducer = ReduceLROnPlateau(monitor="loss", patience=5)
-        model.fit(x, y, epochs=5, callbacks=[reducer])
-        assert reducer.reductions == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="factor"):
-            ReduceLROnPlateau(factor=1.5)
-        with pytest.raises(ValueError, match="mode"):
-            ReduceLROnPlateau(mode="sideways")
-        with pytest.raises(ValueError, match="patience"):
-            ReduceLROnPlateau(patience=-1)
-
-
-class TestCSVLogger:
-    def test_writes_header_and_rows(self, rng, tmp_path):
-        x, y = make_blobs(rng)
-        path = tmp_path / "log.csv"
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile()
-        model.fit(x, y, epochs=3, callbacks=[CSVLogger(path)])
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 4  # header + 3 epochs
-        assert "loss" in lines[0]
-
-    def test_truncates_previous_run(self, rng, tmp_path):
-        x, y = make_blobs(rng)
-        path = tmp_path / "log.csv"
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile()
-        model.fit(x, y, epochs=5, callbacks=[CSVLogger(path)])
-        model.fit(x, y, epochs=2, callbacks=[CSVLogger(path)])
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-
-    def test_creates_parent_directories(self, rng, tmp_path):
-        x, y = make_blobs(rng)
-        path = tmp_path / "deep" / "dir" / "log.csv"
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile()
-        model.fit(x, y, epochs=1, callbacks=[CSVLogger(path)])
-        assert path.exists()
-
-
-class TestLambdaCallback:
-    def test_hooks_invoked(self, rng):
-        x, y = make_blobs(rng)
-        events = []
-        callback = LambdaCallback(
-            on_train_begin=lambda m: events.append("begin"),
-            on_epoch_end=lambda m, e, logs: events.append(f"epoch{e}"),
-            on_train_end=lambda m: events.append("end"),
-        )
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile()
-        model.fit(x, y, epochs=2, callbacks=[callback])
-        assert events == ["begin", "epoch0", "epoch1", "end"]
-
-    def test_all_hooks_optional(self, rng):
-        x, y = make_blobs(rng)
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile()
-        model.fit(x, y, epochs=1, callbacks=[LambdaCallback()])

@@ -5,10 +5,8 @@ import pytest
 
 from repro.nn.metrics import (
     accuracy,
-    balanced_accuracy,
     confusion_matrix,
     f1_score,
-    macro_f1,
     precision_recall_f1,
 )
 
@@ -77,24 +75,3 @@ class TestF1:
         # requested class, which then has zero support -> all-zero scores.
         scores = precision_recall_f1([0, 0], [0, 0], positive_class=5)
         assert scores == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
-
-    def test_macro_f1_averages_classes(self):
-        y_true = [0, 0, 1, 1]
-        y_pred = [0, 0, 1, 0]
-        per0 = precision_recall_f1(y_true, y_pred, 0)["f1"]
-        per1 = precision_recall_f1(y_true, y_pred, 1)["f1"]
-        assert macro_f1(y_true, y_pred) == pytest.approx((per0 + per1) / 2)
-
-
-class TestBalancedAccuracy:
-    def test_equals_accuracy_when_balanced(self):
-        y_true = [0, 0, 1, 1]
-        y_pred = [0, 1, 1, 1]
-        assert balanced_accuracy(y_true, y_pred) == pytest.approx(0.75)
-
-    def test_imbalance_penalized(self):
-        # 90 of class 0 all right, 10 of class 1 all wrong.
-        y_true = [0] * 90 + [1] * 10
-        y_pred = [0] * 100
-        assert accuracy(y_true, y_pred) == 0.9
-        assert balanced_accuracy(y_true, y_pred) == pytest.approx(0.5)

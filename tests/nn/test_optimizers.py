@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn.layers import Dense
 from repro.nn.optimizers import SGD, Adam, Optimizer, RMSProp, get
-from repro.nn.schedules import StepDecay
 
 
 def make_quadratic_layer(rng, target):
@@ -128,15 +127,6 @@ class TestWeightDecay:
 
 
 class TestSchedulesAndState:
-    def test_lr_follows_schedule(self, rng, target):
-        layer = make_quadratic_layer(rng, target)
-        opt = SGD(lr=StepDecay(1.0, factor=0.1, every=2))
-        assert opt.lr == 1.0
-        for _ in range(2):
-            quadratic_step(layer, target)
-            opt.step([layer])
-        assert opt.lr == pytest.approx(0.1)
-
     def test_reset_clears_slots_and_iterations(self, rng, target):
         layer = make_quadratic_layer(rng, target)
         opt = Adam(lr=0.1)
@@ -149,6 +139,12 @@ class TestSchedulesAndState:
 
 
 class TestValidationAndRegistry:
+    @pytest.mark.parametrize("opt_cls", [SGD, RMSProp, Adam])
+    @pytest.mark.parametrize("lr", [0.0, -0.1])
+    def test_non_positive_lr_rejected(self, opt_cls, lr):
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            opt_cls(lr=lr)
+
     def test_invalid_momentum(self):
         with pytest.raises(ValueError, match="momentum"):
             SGD(momentum=1.5)

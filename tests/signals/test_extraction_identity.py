@@ -22,7 +22,7 @@ from repro.datasets import FEAR, PhysiologicalSimulator, WEMACConfig, sample_sub
 from repro.resilience.faults import registered_fault_plans
 from repro.scenarios import WEMACScenario
 from repro.signals import FeatureExtractor, SensorRates
-from repro.signals.filters import butter_bandpass, butter_highpass, butter_lowpass
+from repro.signals.filters import butter_bandpass, butter_lowpass
 from repro.signals.nonlinear import approximate_entropy, sample_entropy
 from repro.signals.spectral import welch_psd
 from repro.signals.stats import basic_stats, safe_kurtosis, safe_skew, skew_kurtosis
@@ -162,7 +162,6 @@ class TestBatchedPrimitives:
         "fn",
         [
             lambda x: butter_lowpass(x, 2.0, 32.0),
-            lambda x: butter_highpass(x, 1.0, 32.0),
             lambda x: butter_bandpass(x, 0.5, 8.0, 32.0),
         ],
     )

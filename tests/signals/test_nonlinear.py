@@ -1,5 +1,7 @@
 """Tests for non-linear / complexity features."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,14 @@ class TestApproximateEntropy:
     def test_too_short_raises(self):
         with pytest.raises(ValueError, match="too short"):
             approximate_entropy(np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_nan_without_warning(self, rng, bad):
+        x = rng.normal(size=60)
+        x[10] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(approximate_entropy(x))
 
 
 class TestPoincare:

@@ -14,7 +14,6 @@ from repro.signals import (
     spectral_spread,
     total_power,
     welch_psd,
-    window_times,
 )
 
 
@@ -46,17 +45,6 @@ class TestWindows:
     def test_rejects_2d(self):
         with pytest.raises(ValueError, match="1D"):
             sliding_windows(np.zeros((3, 3)), 2, 1)
-
-    def test_window_times_centers(self):
-        times = window_times(40, 20, 10, fs=10.0)
-        np.testing.assert_allclose(times, [1.0, 2.0, 3.0])
-
-    @pytest.mark.parametrize("fs", [0.0, -1.0, -10.5, float("nan")])
-    def test_window_times_rejects_non_positive_fs(self, fs):
-        # fs <= 0 used to divide through silently, yielding inf/negative
-        # timestamps downstream.
-        with pytest.raises(ValueError, match="fs must be positive"):
-            window_times(40, 20, 10, fs=fs)
 
 
 class TestWelchPSD:

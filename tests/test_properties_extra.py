@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.clustering.hierarchical import agglomerative_cluster, agglomerative_labels
 from repro.edge.streaming import RingBuffer
 from repro.nn.layers import TemporalAttention
 from repro.signals.quality import assess_quality, clipping_fraction, flatline_fraction
@@ -38,38 +37,6 @@ class TestRingBufferProperties:
         assert buf.total_seen == len(samples)
         assert len(buf) == min(capacity, len(samples))
         assert buf.full == (len(samples) >= capacity)
-
-
-class TestAgglomerativeProperties:
-    @given(
-        arrays(
-            np.float64,
-            st.tuples(st.integers(2, 12), st.integers(1, 3)),
-            elements=st.floats(min_value=-100, max_value=100,
-                               allow_nan=False, allow_infinity=False),
-        ),
-        st.sampled_from(["single", "complete", "average", "ward"]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_cut_produces_exactly_k_clusters(self, x, linkage):
-        dendro = agglomerative_cluster(x, linkage)
-        for k in range(1, x.shape[0] + 1):
-            labels = dendro.cut(k)
-            assert len(np.unique(labels)) == k
-
-    @given(
-        arrays(
-            np.float64,
-            st.tuples(st.integers(3, 10), st.integers(1, 3)),
-            elements=st.floats(min_value=-50, max_value=50,
-                               allow_nan=False, allow_infinity=False),
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_labels_cover_all_points(self, x):
-        labels = agglomerative_labels(x, 2)
-        assert labels.shape == (x.shape[0],)
-        assert set(np.unique(labels)) == {0, 1}
 
 
 class TestQualityProperties:

@@ -1,8 +1,5 @@
 """Tests for the ASCII visualization helpers."""
 
-import numpy as np
-import pytest
-
 from repro import viz
 
 
@@ -23,100 +20,21 @@ class TestSparkline:
         assert viz.sparkline([]) == ""
 
 
-class TestLinePlot:
-    def test_contains_range_annotations(self):
-        text = viz.line_plot([1.0, 2.0, 3.0], title="loss")
-        assert "loss" in text
-        assert "max 3.000" in text
-        assert "min 1.000" in text
-
-    def test_height_rows(self):
-        text = viz.line_plot([0, 1, 2], height=5)
-        assert sum(1 for l in text.splitlines() if l.startswith("|")) == 5
-
-    def test_invalid_height(self):
-        with pytest.raises(ValueError, match="height"):
-            viz.line_plot([1, 2], height=1)
-
-
-class TestBarChart:
-    def test_rows_and_values(self):
-        text = viz.bar_chart(["a", "bb"], [1.0, 2.0])
-        lines = text.splitlines()
-        assert len(lines) == 2
-        assert "1.00" in lines[0]
-        assert "2.00" in lines[1]
-
-    def test_largest_bar_longest(self):
-        text = viz.bar_chart(["x", "y"], [1.0, 4.0])
-        bars = [line.count("█") for line in text.splitlines()]
-        assert bars[1] > bars[0]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="disagree"):
-            viz.bar_chart(["a"], [1.0, 2.0])
-
-
-class TestHeatmap:
-    def test_shape(self):
-        text = viz.heatmap(np.arange(12).reshape(3, 4))
-        assert len(text.splitlines()) == 3
-
-    def test_row_labels(self):
-        text = viz.heatmap(np.ones((2, 3)), row_labels=["hot", "cold"])
-        assert text.splitlines()[0].startswith("hot")
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError, match="2D"):
-            viz.heatmap(np.arange(5))
-
-    def test_label_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            viz.heatmap(np.ones((2, 2)), row_labels=["only-one"])
-
-
-class TestConfusionTable:
-    def test_recall_column(self):
-        cm = np.array([[8, 2], [1, 9]])
-        text = viz.confusion_table(cm, ["neg", "pos"])
-        assert "0.80" in text
-        assert "0.90" in text
-
-    def test_default_names(self):
-        text = viz.confusion_table(np.eye(2, dtype=int))
-        assert "class 0" in text
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            viz.confusion_table(np.ones((2, 3)))
-
-
-class TestTrainingCurves:
-    def test_renders_available_series(self):
-        epochs = [
-            {"loss": 1.0, "accuracy": 0.5},
-            {"loss": 0.5, "accuracy": 0.8},
-        ]
-        text = viz.training_curves(epochs)
-        assert "loss" in text and "accuracy" in text
-        assert "1.0000 -> 0.5000" in text
-
-    def test_empty_history(self):
-        assert "(no epochs)" in viz.training_curves([])
-
-    def test_integrates_with_fit(self):
-        from repro import nn
-
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(32, 3))
-        y = (x.sum(axis=1) > 0).astype(int)
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile()
-        history = model.fit(x, y, epochs=3)
-        text = viz.training_curves(history.epochs)
-        assert "loss" in text
-
-
 class TestAssignmentScores:
     def test_renders_all_clusters(self):
         text = viz.assignment_scores({0: 3.2, 1: 1.1, 2: 4.0})
         assert "cluster 0" in text and "cluster 2" in text
+
+    def test_one_row_per_cluster_with_value(self):
+        lines = viz.assignment_scores({1: 2.0, 0: 1.0}).splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("cluster 0") and lines[0].endswith("1.00")
+        assert lines[1].startswith("cluster 1") and lines[1].endswith("2.00")
+
+    def test_largest_score_longest_bar(self):
+        text = viz.assignment_scores({0: 1.0, 1: 4.0})
+        bars = [line.count("█") for line in text.splitlines()]
+        assert bars[1] > bars[0]
+
+    def test_empty(self):
+        assert viz.assignment_scores({}) == ""
