@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.clustering import GlobalClustering
-from repro.core import ModelConfig, build_cnn_lstm, train_on_maps
+from repro.core import build_cnn_lstm, train_on_maps
 from repro.edge import profile_model
 
 

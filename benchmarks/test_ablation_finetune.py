@@ -6,9 +6,6 @@ compare frozen-feature-extractor vs full fine-tuning — the two knobs a
 deployment would actually tune.
 """
 
-import numpy as np
-import pytest
-
 from repro.core import FineTuneConfig, FoldMetrics, MetricSummary, fine_tune
 
 

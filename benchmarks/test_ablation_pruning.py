@@ -5,8 +5,6 @@ reports the accuracy/size trade — the compression axis beyond the
 paper's int8 quantization.
 """
 
-import pytest
-
 from repro.edge.pruning import measure_sparsity, prune_trained, sparsity_sweep
 
 

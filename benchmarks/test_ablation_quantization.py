@@ -7,7 +7,6 @@ the full compression stack for a shipped checkpoint.
 """
 
 import numpy as np
-import pytest
 
 from repro.edge import QuantizedModel
 from repro.edge.pruning import measure_sparsity, prune_trained

@@ -6,8 +6,6 @@ fine-tuning (no labels from the user), and supervised fine-tuning
 (20 % labels, the paper's protocol) on the same LOSO folds.
 """
 
-import pytest
-
 from repro.core import (
     FoldMetrics,
     MetricSummary,

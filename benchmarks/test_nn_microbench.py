@@ -23,7 +23,7 @@ import pytest
 from repro import nn
 from repro.core import build_cnn_lstm
 from repro.edge import QuantizedModel
-from repro.nn.backends import get_backend
+from repro.nn.backends import OptimizedBackend, ReferenceBackend
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_nn.json"
 
@@ -99,7 +99,7 @@ def test_float_vs_int8_inference(rng, benchmark):
     benchmark(quantized.predict, x)
 
 
-def _train_step(backend_name, batch, rng):
+def _train_step(backend, batch, rng):
     """A forward+backward step closure on the paper CNN-LSTM.
 
     Input is float32 so each backend applies its own dtype policy
@@ -107,7 +107,7 @@ def _train_step(backend_name, batch, rng):
     comparison is end-to-end serving cost, not like-for-like dtypes.
     """
     model = build_cnn_lstm((1, 123, 8), seed=0)
-    model.set_backend(get_backend(backend_name))
+    model.set_backend(backend)
     loss = nn.SoftmaxCrossEntropy()
     x = rng.normal(size=(batch, 1, 123, 8)).astype(np.float32)
     y = rng.integers(0, 2, batch)
@@ -160,8 +160,8 @@ def test_backend_speedup_cnn_lstm(rng):
     """
     grid = {}
     for batch, iters in BACKEND_GRID:
-        ref_ms = _best_median_ms(_train_step("reference", batch, rng), iters)
-        opt_ms = _best_median_ms(_train_step("optimized", batch, rng), iters)
+        ref_ms = _best_median_ms(_train_step(ReferenceBackend(), batch, rng), iters)
+        opt_ms = _best_median_ms(_train_step(OptimizedBackend(), batch, rng), iters)
         grid[str(batch)] = {
             "reference_ms": round(ref_ms, 3),
             "optimized_ms": round(opt_ms, 3),
@@ -190,16 +190,17 @@ def test_backend_speedup_cnn_lstm(rng):
 
 @pytest.mark.smoke
 def test_backend_equivalence_smoke(rng):
-    """Reference and optimized forwards are bit-identical on float64.
+    """The runtime backend's float64 forward equals the reference oracle.
 
-    The CI-fast guarantee check: same CNN-LSTM, same float64 input,
-    both backends — outputs must match to the last bit (the optimized
-    float32 serving path is covered by tests/nn/test_backends.py).
+    The CI-fast guarantee check: the CNN-LSTM as built (on the runtime
+    backend) and the same model pinned to the reference backend must
+    match to the last bit on float64 input (the float32 path is covered
+    by tests/nn/test_backends.py).
     """
     x = rng.normal(size=(4, 1, 123, 8))
-    outs = {}
-    for name in ("reference", "optimized"):
-        model = build_cnn_lstm((1, 123, 8), seed=0)
-        model.set_backend(get_backend(name))
-        outs[name] = model.forward(x, training=False)
-    np.testing.assert_array_equal(outs["reference"], outs["optimized"])
+    runtime = build_cnn_lstm((1, 123, 8), seed=0)
+    assert isinstance(runtime.backend, OptimizedBackend)
+    oracle = build_cnn_lstm((1, 123, 8), seed=0).set_backend(ReferenceBackend())
+    np.testing.assert_array_equal(
+        runtime.forward(x, training=False), oracle.forward(x, training=False)
+    )

@@ -15,7 +15,6 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core import (

@@ -6,9 +6,6 @@ bench regenerates those statistics for the synthetic corpus at both the
 bench scale and (structurally) the paper scale.
 """
 
-import numpy as np
-import pytest
-
 from repro.clustering import GlobalClustering
 from repro.datasets import WEMACConfig
 from repro.signals import (

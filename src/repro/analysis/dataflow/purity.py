@@ -44,7 +44,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..lint import Finding
 from .callgraph import CallGraph
-from .summaries import FunctionSummary, StageRef
+from .summaries import FunctionSummary
 
 #: How many call-levels of same-module helpers the checker follows.
 HELPER_DEPTH = 3

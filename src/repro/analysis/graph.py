@@ -11,8 +11,8 @@ config (``model_to_config`` output), or a :class:`repro.core.ModelConfig`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from .shapes import (
     GraphValidationError,

@@ -10,7 +10,7 @@ is the unsupervised answer to the cold-start problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 

@@ -10,7 +10,7 @@ the refinement loop of Gutiérrez-Martín et al. [19].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np

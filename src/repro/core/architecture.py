@@ -77,9 +77,7 @@ def build_cnn_lstm(
             f"architecture's pooling {cfg.pool_size}"
         )
 
-    model = nn.Sequential(
-        cnn_lstm_layers(cfg, seed=seed), seed=seed, backend=cfg.backend
-    )
+    model = nn.Sequential(cnn_lstm_layers(cfg, seed=seed), seed=seed)
     model.build(tuple(input_shape))
     return model
 

@@ -24,10 +24,6 @@ class ModelConfig:
     #: Replace the last-state read-out with temporal-attention pooling
     #: over the full hidden sequence (architecture extension).
     attention_readout: bool = False
-    #: Compute backend for the built model: 'reference' (bit-identical
-    #: goldens; the paper-scale numbers use this) or 'optimized' (fast
-    #: serving path; see :mod:`repro.nn.backends`).
-    backend: str = "reference"
 
     def __post_init__(self) -> None:
         if len(self.conv_filters) != 2:
@@ -39,13 +35,13 @@ class ModelConfig:
                 f"recurrent_cell must be 'lstm', 'gru' or 'rnn', "
                 f"got {self.recurrent_cell!r}"
             )
-        from ..nn.backends import available_backends
 
-        if self.backend not in available_backends():
-            raise ValueError(
-                f"backend must be one of {available_backends()}, "
-                f"got {self.backend!r}"
-            )
+    @property
+    def backend(self) -> str:
+        """Name of the compute backend every built model runs on."""
+        from ..nn.backends import OptimizedBackend
+
+        return OptimizedBackend.name
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,13 @@ def _config_to_dict(config: CLEARConfig) -> Dict:
 
 def _config_from_dict(data: Dict) -> CLEARConfig:
     data = dict(data)
+    model = dict(data["model"])
+    # Older manifests record the compute backend; every model runs on one.
+    model.pop("backend", None)
     data["model"] = ModelConfig(**{
-        **data["model"],
-        "conv_filters": tuple(data["model"]["conv_filters"]),
-        "pool_size": tuple(data["model"]["pool_size"]),
+        **model,
+        "conv_filters": tuple(model["conv_filters"]),
+        "pool_size": tuple(model["pool_size"]),
     })
     data["training"] = TrainingConfig(**data["training"])
     data["fine_tuning"] = FineTuneConfig(**data["fine_tuning"])

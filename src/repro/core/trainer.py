@@ -11,7 +11,7 @@ from .. import nn
 from ..analysis.graph import validate_architecture
 from ..signals.feature_map import FeatureMap, FeatureNormalizer, maps_to_arrays
 from .architecture import build_cnn_lstm, freeze_feature_extractor
-from .config import CLEARConfig, FineTuneConfig, ModelConfig, TrainingConfig
+from .config import FineTuneConfig, ModelConfig, TrainingConfig
 
 
 @dataclass

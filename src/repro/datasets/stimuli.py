@@ -9,7 +9,6 @@ the simulator turns into raw physiological signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 

@@ -20,7 +20,7 @@ consistent ones — reproducing Table I's General < CL ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np

@@ -83,7 +83,6 @@ class EdgeDeployment:
         retry_policy: Optional[RetryPolicy] = None,
         clock: Optional[Clock] = None,
         input_shape: Optional[tuple] = None,
-        backend=None,
     ) -> "EdgeDeployment":
         """Deploy a cloud checkpoint file, retrying the fetch if it flakes.
 
@@ -96,12 +95,6 @@ class EdgeDeployment:
         static graph validator), so a corrupt transfer surfaces as a
         typed :class:`~repro.errors.CheckpointError`, never as garbage
         weights quietly deployed.
-
-        The deployed model runs on the compute backend the checkpoint
-        was saved with; pass ``backend`` to override explicitly (e.g.
-        ``"optimized"`` so a legacy checkpoint without a saved backend
-        does not silently fall back to ``reference`` and lose the fast
-        serving path).
         """
         from ..resilience.guards import verify_checkpoint
 
@@ -113,9 +106,7 @@ class EdgeDeployment:
             verify_checkpoint(path, input_shape=input_shape)
             from ..nn.checkpoint import load_model
 
-            return TrainedModel(
-                model=load_model(path, backend=backend), normalizer=normalizer
-            )
+            return TrainedModel(model=load_model(path), normalizer=normalizer)
 
         if retry_policy is None:
             # No retry requested: a bad file raises CheckpointError directly.

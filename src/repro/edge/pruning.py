@@ -10,7 +10,7 @@ resulting compression, and supports prune-then-fine-tune recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 

@@ -10,7 +10,7 @@ staying inside the numpy substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

@@ -8,13 +8,7 @@ by numerical gradient checks in the test suite.
 """
 
 from . import activations, backends, initializers
-from .backends import (
-    ComputeBackend,
-    available_backends,
-    default_backend,
-    get_backend,
-    set_default_backend,
-)
+from .backends import ComputeBackend
 from .callbacks import (
     BestWeights,
     Callback,
@@ -60,10 +54,6 @@ __all__ = [
     "backends",
     "initializers",
     "ComputeBackend",
-    "available_backends",
-    "default_backend",
-    "get_backend",
-    "set_default_backend",
     "Layer",
     "Dense",
     "Conv2D",

@@ -1,15 +1,15 @@
-"""Pluggable compute backends for the nn substrate.
+"""Compute backends for the nn substrate.
 
-The registry maps backend names to singleton instances (backends are
-stateless; all per-layer caches live in the layers' own state dicts).
-``reference`` is the default: bit-identical to the historical layer
-code, so golden fingerprints and tier-1 stay pinned.  ``optimized`` is
-the fast path for serving and scale-out.
+Every model runs on :class:`OptimizedBackend`: preallocated workspaces,
+stacked recurrent caches and batched BPTT GEMMs, with float64 forward
+passes bit-identical to :class:`ReferenceBackend`.  The reference
+backend stays as the float64 oracle the tests compare against (and the
+class the optimized one subclasses); pin it on a layer or model with
+``set_backend(ReferenceBackend())``.  Backends are stateless: all
+per-layer caches live in the layers' own state dicts.
 """
 
 from __future__ import annotations
-
-from typing import Dict, List, Union
 
 from .base import ComputeBackend, PadPairs, require_state
 from .optimized import OptimizedBackend
@@ -21,71 +21,14 @@ from .reference import (
     im2col,
 )
 
-BackendLike = Union[str, ComputeBackend]
-
-_REGISTRY: Dict[str, ComputeBackend] = {}
-_DEFAULT = "reference"
-
-
-def register_backend(backend: ComputeBackend) -> ComputeBackend:
-    """Add a backend instance to the registry under ``backend.name``."""
-    if not isinstance(backend, ComputeBackend):
-        raise TypeError(f"expected a ComputeBackend, got {type(backend).__name__}")
-    if not backend.name or backend.name == "abstract":
-        raise ValueError("backend must define a concrete, non-empty name")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def available_backends() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def get_backend(backend: BackendLike) -> ComputeBackend:
-    """Resolve a backend name (or pass an instance through)."""
-    if isinstance(backend, ComputeBackend):
-        return backend
-    try:
-        return _REGISTRY[backend]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown backend {backend!r}; available: {available_backends()}"
-        ) from None
-
-
-def default_backend() -> ComputeBackend:
-    """The backend used when a model/layer does not pin one."""
-    return _REGISTRY[_DEFAULT]
-
-
-def set_default_backend(backend: BackendLike) -> ComputeBackend:
-    """Change the process-wide default backend; returns the new default."""
-    global _DEFAULT
-    resolved = get_backend(backend)
-    if resolved.name not in _REGISTRY:
-        register_backend(resolved)
-    _DEFAULT = resolved.name
-    return resolved
-
-
-register_backend(ReferenceBackend())
-register_backend(OptimizedBackend())
-
 __all__ = [
-    "BackendLike",
     "ComputeBackend",
     "OptimizedBackend",
     "PadPairs",
     "ReferenceBackend",
     "as_pad_pairs",
-    "available_backends",
     "col2im",
     "conv_output_size",
-    "default_backend",
-    "get_backend",
     "im2col",
-    "register_backend",
     "require_state",
-    "set_default_backend",
 ]

@@ -10,15 +10,17 @@ single layer class.
 
 Two implementations ship:
 
-``reference``
-    Bit-identical to the historical layer code.  Every golden
-    fingerprint in the repo is pinned against it; tier-1 runs on it.
-
 ``optimized``
-    Preallocated im2col / gate workspaces, stacked recurrent caches,
-    batched BPTT GEMMs, and a dtype policy that preserves ``float32``
-    end-to-end.  Forward passes are bit-identical to ``reference`` for
-    equal input dtypes; backward passes agree to gradcheck tolerance.
+    The one runtime backend: every model runs on it.  Preallocated
+    im2col / gate workspaces, stacked recurrent caches, batched BPTT
+    GEMMs, and a dtype policy that preserves ``float32`` end-to-end.
+    Forward passes are bit-identical to ``reference`` for equal input
+    dtypes; backward passes agree to gradcheck tolerance.
+
+``reference``
+    The historical layer code, always ``float64``.  It is the oracle
+    the tests compare ``optimized`` against, pinned per layer or model
+    with ``set_backend(ReferenceBackend())``.
 
 State protocol
 --------------
@@ -51,7 +53,7 @@ class ComputeBackend:
     """Abstract compute backend; see the module docstring for the contract.
 
     Subclasses implement every kernel pair and :meth:`compute_dtype`.
-    ``name`` is the registry key and what checkpoints serialize.
+    ``name`` labels the backend in reprs and bench records.
     """
 
     name: str = "abstract"

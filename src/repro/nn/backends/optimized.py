@@ -28,7 +28,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..activations import sigmoid, tanh
 from .base import require_state
 from .reference import (
     ReferenceBackend,

@@ -1,9 +1,9 @@
 """The reference backend: bit-identical to the historical layer code.
 
 Every kernel here reproduces the exact floating-point operation order
-the layers used before backends existed, so all golden fingerprints in
-the repo (bench-scale table1, checkpoint checksums, LOSO fold metrics)
-stay bit-identical.  Tier-1 runs on this backend.
+the layers used before backends existed.  Models run on the optimized
+backend, which subclasses this one; the reference stays as the float64
+oracle the tests hold the optimized kernels to.
 
 The only internal change from the historical code is the recurrent
 cache layout: per-step dicts holding redundant ``h_prev``/``c_prev``
@@ -15,7 +15,7 @@ unchanged while peak cache memory drops by ~2 arrays per time step.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import copy
 import logging
 from typing import Dict, List, Optional
-
-import numpy as np
 
 logger = logging.getLogger("repro.nn")
 

@@ -32,36 +32,24 @@ CHECKSUM_KEY = "__checksum__"
 def model_to_config(model: Sequential) -> dict:
     """Serializable architecture description.
 
-    Returns ``{"backend": <name>, "layers": [{"class", "config"}, ...]}``
-    so a restored model runs on the same compute backend it was saved
-    with (parameters themselves are backend-independent ``float64``).
+    Returns ``{"layers": [{"class", "config"}, ...]}``; parameters are
+    backend-independent ``float64``.
     """
     layers = []
     for layer in model.layers:
         entry = {"class": type(layer).__name__, "config": layer.get_config()}
         layers.append(entry)
-    return {"backend": model.backend.name, "layers": layers}
+    return {"layers": layers}
 
 
-def model_from_config(config, seed: int = 0, backend=None) -> Sequential:
+def model_from_config(config, seed: int = 0) -> Sequential:
     """Rebuild an (unbuilt) model from :func:`model_to_config` output.
 
-    Accepts both the current dict format (with a ``"backend"`` entry)
-    and the legacy bare list of layer entries written by pre-backend
-    checkpoints, which load onto the default backend.  An explicit
-    ``backend`` argument overrides whatever the config recorded — the
-    hook serving and deployment use to force the optimized hot path
-    (or pin reference) regardless of what the checkpoint was trained
-    on.
+    Also accepts the legacy bare list of layer entries, and ignores the
+    ``"backend"`` entry older checkpoints recorded: every model runs on
+    the one runtime backend.
     """
-    if isinstance(config, dict):
-        saved_backend = config.get("backend")
-        entries = config["layers"]
-    else:
-        saved_backend = None
-        entries = config
-    if backend is None:
-        backend = saved_backend
+    entries = config["layers"] if isinstance(config, dict) else config
     layers = []
     for entry in entries:
         cls_name = entry["class"]
@@ -71,7 +59,7 @@ def model_from_config(config, seed: int = 0, backend=None) -> Sequential:
         kwargs = dict(entry["config"])
         # JSON turns tuples into lists; constructors accept both.
         layers.append(cls(**kwargs))
-    return Sequential(layers, seed=seed, backend=backend)
+    return Sequential(layers, seed=seed)
 
 
 def compute_checksum(arrays: Dict[str, np.ndarray]) -> str:
@@ -150,16 +138,11 @@ def load_model(
     path: Union[str, Path],
     seed: int = 0,
     verify_checksum: bool = True,
-    backend=None,
 ) -> Sequential:
     """Load a model saved by :func:`save_model`; ready for inference.
 
     The returned model still needs :meth:`Sequential.compile` before
-    further training (the optimizer is not checkpointed).  By default
-    the model runs on the compute backend it was saved with (legacy
-    checkpoints without a backend entry load onto the process default);
-    pass ``backend`` to override explicitly — e.g. ``"optimized"`` to
-    guarantee the serving hot path even for legacy checkpoints.
+    further training (the optimizer is not checkpointed).
 
     Raises
     ------
@@ -169,12 +152,6 @@ def load_model(
         / tensors cannot be decoded.  Checkpoints written before
         checksums existed (no :data:`CHECKSUM_KEY` entry) still load.
     """
-    if backend is not None:
-        # Resolve eagerly so a typo'd backend name surfaces as its own
-        # ValueError, not a misleading CheckpointError below.
-        from .backends import get_backend
-
-        backend = get_backend(backend)
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"checkpoint {path} does not exist")
@@ -183,7 +160,7 @@ def load_model(
         config = json.loads(
             bytes(arrays[CONFIG_KEY].tobytes()).decode("utf-8")
         )
-        model = model_from_config(config, seed=seed, backend=backend)
+        model = model_from_config(config, seed=seed)
         # Group arrays per layer index.
         params: dict = {}
         states: dict = {}

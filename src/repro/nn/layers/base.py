@@ -14,7 +14,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..backends import ComputeBackend, OptimizedBackend
+
 _name_counters = itertools.count()
+
+#: The backend every layer runs on unless pinned with ``set_backend``.
+RUNTIME_BACKEND = OptimizedBackend()
 
 
 class Layer:
@@ -34,32 +39,36 @@ class Layer:
         self.built = False
         self.frozen = False
         self.training = True
-        # Compute-backend plumbing: None means "follow the process-wide
-        # default"; the state dict is this layer's private cache /
-        # workspace storage, owned by whichever backend runs it.
-        self._backend = None
+        # The state dict is this layer's private cache / workspace
+        # storage, owned by whichever backend runs it.
+        self._backend: ComputeBackend = RUNTIME_BACKEND
         self._backend_state: Dict = {}
 
     # -- backend ---------------------------------------------------------
     @property
-    def backend(self):
+    def backend(self) -> ComputeBackend:
         """The :class:`~repro.nn.backends.ComputeBackend` running this layer."""
-        if self._backend is None:
-            from .. import backends as _backends
-
-            return _backends.default_backend()
         return self._backend
 
-    def set_backend(self, backend) -> None:
-        """Pin this layer to a backend (name or instance).
+    def set_backend(self, backend: ComputeBackend) -> None:
+        """Pin this layer to a backend instance (tests pin the reference).
 
         Clears the backend state dict: caches and workspaces are private
         to one backend and must not leak across implementations.
         """
-        from .. import backends as _backends
-
-        self._backend = _backends.get_backend(backend)
+        if not isinstance(backend, ComputeBackend):
+            raise TypeError(
+                f"expected a ComputeBackend instance, got {type(backend).__name__}"
+            )
+        self._backend = backend
         self._backend_state.clear()
+
+    def __getstate__(self) -> Dict:
+        # A pickled layer carries its parameters, not the last call's
+        # caches and workspaces.
+        state = self.__dict__.copy()
+        state["_backend_state"] = {}
+        return state
 
     # -- lifecycle -------------------------------------------------------
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:

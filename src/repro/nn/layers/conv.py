@@ -28,7 +28,6 @@ from ...errors import PaddingError
 from .. import initializers
 from ..backends.base import PadPairs
 from ..backends.reference import (  # noqa: F401  (re-exported API)
-    as_pad_pairs,
     col2im,
     conv_output_size,
     im2col,

@@ -8,9 +8,9 @@ import numpy as np
 
 from . import losses as losses_mod
 from . import optimizers as optim_mod
-from .backends import BackendLike, ComputeBackend, default_backend, get_backend
+from .backends import ComputeBackend
 from .callbacks import Callback, EpochLogger, History
-from .layers.base import Layer
+from .layers.base import RUNTIME_BACKEND, Layer
 from .metrics import accuracy
 
 
@@ -40,29 +40,25 @@ def iterate_minibatches(
 class Sequential:
     """A linear stack of layers with a Keras-like training API.
 
+    Every layer runs on the optimized compute backend (see
+    :mod:`repro.nn.backends`), which also owns the dtype the model
+    computes in: ``float32`` input stays ``float32``, anything else runs
+    in ``float64``.
+
     Parameters
     ----------
     layers:
         Layer instances executed in order.
     seed:
         Seed for parameter initialization (and batch shuffling).
-    backend:
-        Compute backend name or instance for every layer (see
-        :mod:`repro.nn.backends`).  ``None`` follows the process-wide
-        default (``reference``); the backend also owns the dtype the
-        model computes in (``reference`` promotes everything to
-        ``float64``, ``optimized`` preserves ``float32``).
     """
 
     def __init__(
         self,
         layers: Optional[Sequence[Layer]] = None,
         seed: int = 0,
-        backend: Optional[BackendLike] = None,
     ):
-        self._backend: Optional[ComputeBackend] = (
-            get_backend(backend) if backend is not None else None
-        )
+        self._backend: ComputeBackend = RUNTIME_BACKEND
         self.layers: List[Layer] = []
         for layer in layers or []:
             self.add(layer)
@@ -76,23 +72,23 @@ class Sequential:
     @property
     def backend(self) -> ComputeBackend:
         """The compute backend this model runs on."""
-        return self._backend if self._backend is not None else default_backend()
+        return self._backend
 
-    def set_backend(self, backend: BackendLike) -> "Sequential":
-        """Switch every layer to ``backend``; returns self for chaining.
+    def set_backend(self, backend: ComputeBackend) -> "Sequential":
+        """Switch every layer to a backend instance; returns self.
 
         Parameters are untouched (they always live in ``float64``), so
-        switching is cheap and reversible at any point — e.g. train on
-        ``reference``, serve on ``optimized``.
+        switching is cheap and reversible at any point — the seam tests
+        use to run a model on the ``ReferenceBackend`` oracle.
         """
-        self._backend = get_backend(backend)
         for layer in self.layers:
-            layer.set_backend(self._backend)
+            layer.set_backend(backend)
+        self._backend = backend
         return self
 
     def add(self, layer: Layer) -> "Sequential":
         """Append a layer; returns self for chaining."""
-        if self._backend is not None:
+        if layer.backend is not self._backend:
             layer.set_backend(self._backend)
         self.layers.append(layer)
         return self

@@ -46,7 +46,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ExecutorError, SupervisionError
+from ..errors import SupervisionError
 from ..resilience.retry import Clock, MonotonicClock, RetryPolicy
 from .executor import Executor, resolve_mp_context
 

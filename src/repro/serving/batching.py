@@ -19,7 +19,7 @@ has waited ``max_wait_s`` on the injectable clock (latency bound).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 

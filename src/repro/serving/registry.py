@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.trainer import TrainedModel
 from ..errors import ServingError
@@ -110,20 +110,13 @@ class ClusterModelRegistry:
         dropping a model.
     capacity:
         Warm-pool size (the population fallback is pinned outside it).
-    backend:
-        Compute backend name for *file-backed* checkpoint loads.
-        ``None`` defers to the backend recorded in each checkpoint
-        (see :func:`repro.nn.checkpoint.load_model`); pass e.g.
-        ``"optimized"`` to override the whole fleet explicitly.
     """
 
     def __init__(
         self,
         cache_dir: Optional[Union[str, Path]] = None,
         capacity: int = 8,
-        backend: Optional[str] = None,
     ):
-        self.backend = backend
         self._pool = WarmModelPool(capacity)
         self._cache = None
         if cache_dir is not None:
@@ -154,9 +147,7 @@ class ClusterModelRegistry:
         """Register a file-backed checkpoint, loaded lazily on first use.
 
         The checkpoint file itself is the durable source, so these
-        entries are always safely evictable.  The model loads on the
-        backend recorded in the checkpoint unless the registry was
-        built with an explicit ``backend`` override.
+        entries are always safely evictable.
         """
         self._sources[tuple(key)] = ("file", str(path), normalizer)
 
@@ -210,7 +201,7 @@ class ClusterModelRegistry:
         from ..nn.checkpoint import load_model
 
         return TrainedModel(
-            model=load_model(path, backend=self.backend),
+            model=load_model(path),
             normalizer=normalizer,
         )
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.pipeline import CLEARSystem
 from ..core.trainer import TrainedModel
-from ..errors import AdmissionError, ServingError
+from ..errors import AdmissionError
 from ..resilience.degradation import (
     DEGRADED,
     HEALTHY,
@@ -114,9 +114,6 @@ class InferenceService:
     registry_capacity:
         Warm-pool size.  Defaults to all cluster models plus a margin
         for personalized checkpoints.
-    backend:
-        Compute backend name for file-backed checkpoint loads in the
-        registry (None = each checkpoint's saved backend).
     sequential:
         Force ``max_batch=1``: every request runs in its own flush on
         the same canonical slabs.  This is the bit-identity reference
@@ -137,7 +134,6 @@ class InferenceService:
         registry: Optional[ClusterModelRegistry] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         registry_capacity: Optional[int] = None,
-        backend: Optional[str] = None,
         num_shards: int = 8,
         smoothing: int = 3,
         sequential: bool = False,
@@ -158,9 +154,7 @@ class InferenceService:
             if registry_capacity is None:
                 registry_capacity = len(system.cluster_models) + 8
             registry = ClusterModelRegistry(
-                cache_dir=cache_dir,
-                capacity=registry_capacity,
-                backend=backend,
+                cache_dir=cache_dir, capacity=registry_capacity
             )
             for cluster in sorted(system.cluster_models):
                 registry.register(

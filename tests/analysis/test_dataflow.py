@@ -26,7 +26,6 @@ from repro.analysis.dataflow.purity import (
     check_stage_purity,
     resolve_stage_bindings,
 )
-from repro.analysis.dataflow.seedflow import analyze_seedflow
 from repro.analysis.dataflow.summaries import extract_noqa_directives
 
 FIXTURES = Path(__file__).parent / "fixtures"

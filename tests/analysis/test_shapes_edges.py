@@ -5,7 +5,6 @@ rank-0 shapes, dtype propagation through mixed-precision chains, and the
 Reshape/attention interactions that the CNN-LSTM variants exercise.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.graph import trace_layers

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import CLEAR, CLEARConfig, FineTuneConfig, ModelConfig, TrainingConfig
 from repro.core.adaptation import DriftDetector
-from repro.signals import FeatureMap
 
 FAST_CFG = CLEARConfig(
     num_clusters=4,

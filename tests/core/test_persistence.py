@@ -89,3 +89,21 @@ class TestSaveLoad:
         (out / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="unsupported"):
             load_system(out)
+
+    def test_manifest_recording_a_backend_loads(self, system, tiny_dataset, tmp_path):
+        import json
+
+        # Manifests written before the backend fold carry the model's
+        # compute backend in the config; loading ignores it.
+        out = save_system(system, tmp_path / "deploy")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "backend" not in manifest["config"]["model"]
+        manifest["config"]["model"]["backend"] = "reference"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        restored = load_system(out)
+        assert restored.config == FAST_CFG
+        record = tiny_dataset.subjects[0]
+        np.testing.assert_array_equal(
+            system.predict(record.maps, cluster=0),
+            restored.predict(record.maps, cluster=0),
+        )

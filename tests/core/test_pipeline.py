@@ -1,6 +1,5 @@
 """Tests for the end-to-end CLEAR pipeline (cloud fit + edge operations)."""
 
-import numpy as np
 import pytest
 
 from repro.core import CLEAR, CLEARConfig, FineTuneConfig, ModelConfig, TrainingConfig

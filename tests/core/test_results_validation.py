@@ -1,6 +1,5 @@
 """Tests for result containers and the Table-I validation harness."""
 
-import numpy as np
 import pytest
 
 from repro.core import (

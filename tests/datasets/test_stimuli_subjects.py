@@ -9,7 +9,6 @@ from repro.datasets import (
     NON_FEAR,
     NUM_ARCHETYPES,
     PhysiologicalSimulator,
-    StimulusSchedule,
     Trial,
     balanced_schedule,
     sample_subject,

@@ -127,14 +127,3 @@ class TestFromCheckpointBackend:
         assert dep.evaluate(test) == EdgeDeployment(
             trained, GPU_BASELINE
         ).evaluate(test)
-
-    def test_backend_override(self, trained_and_maps, tmp_path):
-        from repro.nn.checkpoint import save_model
-
-        trained, _, _ = trained_and_maps
-        path = tmp_path / "cloud.npz"
-        save_model(trained.model, path)
-        dep = EdgeDeployment.from_checkpoint(
-            path, GPU_BASELINE, trained.normalizer, backend="optimized"
-        )
-        assert dep.trained.model.backend.name == "optimized"

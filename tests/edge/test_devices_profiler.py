@@ -1,6 +1,5 @@
 """Tests for the MAC profiler and device cost models."""
 
-import numpy as np
 import pytest
 
 from repro import nn

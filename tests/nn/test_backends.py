@@ -1,19 +1,23 @@
-"""Compute-backend contract tests: registry, equivalence, dtypes, serving.
+"""Compute-backend contract tests: equivalence, dtypes, pickling, serving.
 
 The load-bearing guarantees pinned here:
 
-* ``reference`` is bit-identical to the historical layer code — the
-  bench-scale table-1 fingerprint test at the bottom is the end-to-end
-  seal on that claim.
+* Every model runs on ``optimized``; ``reference`` is the float64
+  oracle, pinned through ``set_backend(ReferenceBackend())``.
 * ``optimized`` forward passes are bit-identical to ``reference`` for
   equal dtypes (hypothesis sweeps over shapes/strides/paddings);
-  backward passes agree to gradcheck tolerance.
+  backward passes agree to gradcheck tolerance.  The tiny table-1
+  fingerprint at the bottom seals the pre-backend numbers end to end
+  on the optimized backend.
 * The backend owns dtype policy: ``float32`` survives end-to-end on
   ``optimized`` and is promoted to ``float64`` on ``reference``.
+* A pickled model carries its parameters, not its layer caches.
 """
 
+import dataclasses
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -22,17 +26,13 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.errors import PaddingError
-from repro.nn.backends import (
-    ComputeBackend,
-    available_backends,
-    default_backend,
-    get_backend,
-    set_default_backend,
-)
+from repro.nn.backends import OptimizedBackend, ReferenceBackend
 from repro.nn.gradcheck import check_model_gradients
 from repro.nn.layers.conv import resolve_padding, same_axis_pads
 
 BACKWARD_TOL = dict(rtol=1e-9, atol=1e-11)
+
+BACKENDS = {"reference": ReferenceBackend(), "optimized": OptimizedBackend()}
 
 
 def both_backends(build_layer, x, grad_fn=None):
@@ -44,44 +44,13 @@ def both_backends(build_layer, x, grad_fn=None):
     layer = build_layer()
     layer.ensure_built(x, rng)
     results = []
-    for backend in ("reference", "optimized"):
+    for backend in BACKENDS.values():
         layer.set_backend(backend)  # clears backend state, keeps params
         out = layer.forward(x)
         grad = np.ones_like(out) if grad_fn is None else grad_fn(out)
         dx = layer.backward(grad)
         results.append((out, dx, {k: v.copy() for k, v in layer.grads.items()}))
     return results
-
-
-class TestRegistry:
-    def test_both_backends_registered(self):
-        assert {"optimized", "reference"} <= set(available_backends())
-
-    def test_default_is_reference(self):
-        assert default_backend().name == "reference"
-
-    def test_get_backend_resolves_names_and_instances(self):
-        ref = get_backend("reference")
-        assert isinstance(ref, ComputeBackend)
-        assert get_backend(ref) is ref
-
-    def test_unknown_backend_is_a_value_error(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("turbo")
-        with pytest.raises(ValueError, match="backend must be one of"):
-            from repro.core import ModelConfig
-
-            ModelConfig(backend="turbo")
-
-    def test_set_default_backend_round_trip(self):
-        try:
-            assert set_default_backend("optimized").name == "optimized"
-            assert default_backend().name == "optimized"
-            # A model that pinned no backend follows the new default.
-            assert nn.Sequential([nn.Dense(2)]).backend.name == "optimized"
-        finally:
-            set_default_backend("reference")
-        assert default_backend().name == "reference"
 
 
 class TestSamePaddingRegression:
@@ -126,7 +95,7 @@ class TestSamePaddingRegression:
     def test_even_kernel_same_conv_output_shape(self, backend, shape, kernel, stride):
         h, w = shape
         layer = nn.Conv2D(3, kernel, stride=stride, padding="same")
-        layer.set_backend(backend)
+        layer.set_backend(BACKENDS[backend])
         x = np.random.default_rng(1).normal(size=(2, 1, h, w))
         layer.ensure_built(x, np.random.default_rng(2))
         out = layer.forward(x)
@@ -256,9 +225,9 @@ class TestBackendEquivalence:
 
         rng = np.random.default_rng(11)
         x = rng.normal(size=(4, 1, 32, 8))
-        ref_model = build_cnn_lstm((1, 32, 8), seed=0)
+        ref_model = build_cnn_lstm((1, 32, 8), seed=0).set_backend(ReferenceBackend())
         out_ref = ref_model.forward(x)
-        opt_model = build_cnn_lstm((1, 32, 8), seed=0).set_backend("optimized")
+        opt_model = build_cnn_lstm((1, 32, 8), seed=0)
         out_opt = opt_model.forward(x)
         assert np.array_equal(out_ref, out_opt), (
             "full-model float64 forward must be bit-identical across backends"
@@ -283,7 +252,7 @@ class TestStackedRecurrentCaches:
     @pytest.mark.parametrize("cls", [nn.LSTM, nn.GRU, nn.SimpleRNN])
     def test_no_per_step_python_lists(self, backend, cls):
         layer = cls(5)
-        layer.set_backend(backend)
+        layer.set_backend(BACKENDS[backend])
         x = np.random.default_rng(0).normal(size=(3, 7, 4))
         layer.ensure_built(x, np.random.default_rng(1))
         layer.forward(x)
@@ -302,7 +271,7 @@ class TestStackedRecurrentCaches:
             (nn.Conv2D(2, 3), np.ones((2, 1, 4, 4)), np.ones((2, 2, 4, 4))),
             (nn.Dense(3), np.ones((2, 5)), np.ones((2, 3))),
         ]:
-            layer.set_backend(backend)
+            layer.set_backend(BACKENDS[backend])
             layer.ensure_built(x, rng)  # built but never run forward
             with pytest.raises(RuntimeError, match="backward called before forward"):
                 layer.backward(grad)
@@ -321,12 +290,12 @@ class TestDtypePolicy:
     """The backend, not the layers, owns the compute dtype."""
 
     def test_reference_promotes_everything_to_float64(self):
-        ref = get_backend("reference")
+        ref = ReferenceBackend()
         for dtype in (np.float16, np.float32, np.float64, np.int64):
             assert ref.compute_dtype(np.dtype(dtype)) == np.float64
 
     def test_optimized_preserves_float32_only(self):
-        opt = get_backend("optimized")
+        opt = OptimizedBackend()
         assert opt.compute_dtype(np.dtype(np.float32)) == np.float32
         for dtype in (np.float16, np.float64, np.int32):
             assert opt.compute_dtype(np.dtype(dtype)) == np.float64
@@ -345,7 +314,6 @@ class TestDtypePolicy:
                 nn.Sigmoid(),
             ],
             seed=7,
-            backend="optimized",
         )
         x32 = np.random.default_rng(8).normal(size=(4, 1, 8, 8)).astype(np.float32)
         assert model.predict(x32).dtype == np.float32
@@ -358,13 +326,13 @@ class TestDtypePolicy:
         )
 
     def test_float32_promoted_on_reference(self):
-        model = nn.Sequential([nn.Dense(2)], seed=0, backend="reference")
+        model = nn.Sequential([nn.Dense(2)], seed=0).set_backend(ReferenceBackend())
         x32 = np.zeros((2, 3), dtype=np.float32)
         assert model.predict(x32).dtype == np.float64
 
     def test_float32_training_converges_on_optimized(self):
         model = nn.Sequential(
-            [nn.Dense(8), nn.Tanh(), nn.Dense(2)], seed=1, backend="optimized"
+            [nn.Dense(8), nn.Tanh(), nn.Dense(2)], seed=1
         ).compile("softmax_cross_entropy", nn.Adam(1e-2))
         rng = np.random.default_rng(2)
         x = rng.normal(size=(32, 4)).astype(np.float32)
@@ -396,12 +364,12 @@ class TestFloat32FastPaths:
         x = rng.normal(size=shape)
         layer = nn.Conv2D(5, kernel, stride=stride, padding=padding)
         layer.ensure_built(x, np.random.default_rng(21))
-        layer.set_backend("reference")
+        layer.set_backend(ReferenceBackend())
         out_ref = layer.forward(x)
         grad = np.random.default_rng(22).normal(size=out_ref.shape)
         dx_ref = layer.backward(grad)
         grads_ref = {k: v.copy() for k, v in layer.grads.items()}
-        layer.set_backend("optimized")
+        layer.set_backend(OptimizedBackend())
         out_32 = layer.forward(x.astype(np.float32))
         assert out_32.dtype == np.float32
         np.testing.assert_allclose(out_32, out_ref, **self.F32_TOL)
@@ -418,9 +386,9 @@ class TestFloat32FastPaths:
         x = rng.normal(size=(4, 12, 6))
         layer = nn.LSTM(8, return_sequences=True)
         layer.ensure_built(x, np.random.default_rng(24))
-        layer.set_backend("reference")
+        layer.set_backend(ReferenceBackend())
         out_ref = layer.forward(x)
-        layer.set_backend("optimized")
+        layer.set_backend(OptimizedBackend())
         out_32 = layer.forward(x.astype(np.float32))
         assert out_32.dtype == np.float32
         np.testing.assert_allclose(out_32, out_ref, **self.F32_TOL)
@@ -432,7 +400,6 @@ class TestFloat32FastPaths:
             np.float32
         )
         layer = nn.LSTM(3, return_sequences=True)
-        layer.set_backend("optimized")
         layer.ensure_built(x, np.random.default_rng(26))
         out = layer.forward(x)
         assert np.all(np.isfinite(out))
@@ -443,8 +410,8 @@ class TestFloat32FastPaths:
         from repro.core import build_cnn_lstm
 
         x = np.random.default_rng(27).normal(size=(4, 1, 32, 8))
-        ref = build_cnn_lstm((1, 32, 8), seed=0)
-        opt = build_cnn_lstm((1, 32, 8), seed=0).set_backend("optimized")
+        ref = build_cnn_lstm((1, 32, 8), seed=0).set_backend(ReferenceBackend())
+        opt = build_cnn_lstm((1, 32, 8), seed=0)
         np.testing.assert_allclose(
             opt.predict(x.astype(np.float32)),
             ref.predict(x),
@@ -455,9 +422,7 @@ class TestFloat32FastPaths:
 
 class TestForwardMany:
     def _model(self):
-        return nn.Sequential(
-            [nn.Dense(4), nn.Tanh(), nn.Dense(2)], seed=9, backend="optimized"
-        )
+        return nn.Sequential([nn.Dense(4), nn.Tanh(), nn.Dense(2)], seed=9)
 
     def test_matches_per_user_predict(self):
         model = self._model()
@@ -518,44 +483,94 @@ class TestForwardMany:
 
 
 class TestCheckpointBackendRoundTrip:
-    def _build(self, backend):
+    def _build(self):
         model = nn.Sequential(
             [nn.Dense(4, name="d1"), nn.Tanh(), nn.Dense(2, name="d2")],
             seed=12,
-            backend=backend,
         )
         model.forward(np.zeros((1, 3)))
         return model
 
-    def test_config_records_backend(self):
-        from repro.nn.checkpoint import model_to_config
-
-        config = model_to_config(self._build("optimized"))
-        assert config["backend"] == "optimized"
-        assert isinstance(config["layers"], list)
-
     def test_save_load_preserves_backend_and_weights(self, tmp_path):
         from repro.nn.checkpoint import load_model, save_model
 
-        model = self._build("optimized")
+        model = self._build()
         path = save_model(model, tmp_path / "model.npz")
         restored = load_model(path)
-        assert restored.backend.name == "optimized"
+        assert isinstance(restored.backend, OptimizedBackend)
         x = np.random.default_rng(13).normal(size=(5, 3))
         assert np.array_equal(restored.predict(x), model.predict(x))
 
     def test_legacy_bare_list_config_loads(self):
         from repro.nn.checkpoint import model_from_config, model_to_config
 
-        config = model_to_config(self._build("reference"))
-        legacy = model_from_config(config["layers"])  # pre-backend format
-        assert [type(a) for a in legacy.layers] == [nn.Dense, nn.Tanh, nn.Dense]
-        assert legacy.backend.name == default_backend().name
+        layers = model_to_config(self._build())["layers"]
+        # The pre-backend bare list, and the dict older checkpoints
+        # wrote with the backend they were saved on.
+        for config in (layers, {"backend": "reference", "layers": layers}):
+            legacy = model_from_config(config)
+            assert [type(a) for a in legacy.layers] == [nn.Dense, nn.Tanh, nn.Dense]
+            assert isinstance(legacy.backend, OptimizedBackend)
+            assert all(isinstance(a.backend, OptimizedBackend) for a in legacy.layers)
+
+
+class TestRuntimeBackend:
+    """One backend runs every model; the reference is pinned by instance."""
+
+    @pytest.mark.parametrize(
+        "model_cfg",
+        [{}, {"recurrent_cell": "gru"}, {"recurrent_cell": "rnn"},
+         {"attention_readout": True}],
+    )
+    def test_every_built_model_runs_optimized(self, model_cfg):
+        from repro.core import ModelConfig, build_cnn_lstm
+
+        model = build_cnn_lstm((1, 32, 8), ModelConfig(**model_cfg), seed=0)
+        assert isinstance(model.backend, OptimizedBackend)
+        assert all(isinstance(a.backend, OptimizedBackend) for a in model.layers)
+
+    def test_set_backend_takes_instances_only(self):
+        with pytest.raises(TypeError, match="ComputeBackend instance"):
+            nn.Dense(2).set_backend("reference")
+        with pytest.raises(TypeError, match="ComputeBackend instance"):
+            nn.Sequential([nn.Dense(2)]).set_backend("optimized")
+
+    def test_model_config_backend_is_read_only(self):
+        from repro.core import ModelConfig
+
+        cfg = ModelConfig()
+        assert cfg.backend == OptimizedBackend.name
+        assert "backend" not in dataclasses.asdict(cfg)
+        with pytest.raises(TypeError):
+            ModelConfig(backend="reference")
+        with pytest.raises(AttributeError):
+            cfg.backend = "reference"
+
+
+class TestPickledModel:
+    def test_round_trip_drops_caches_and_predicts_bit_identically(self):
+        from repro.core import build_cnn_lstm
+
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(12, 1, 16, 4))
+        y = rng.integers(0, 2, 12)
+        model = build_cnn_lstm((1, 16, 4), seed=0).compile(
+            "softmax_cross_entropy", nn.Adam(1e-3)
+        )
+        model.fit(x, y, epochs=2, batch_size=4)
+        assert any(layer._backend_state for layer in model.layers)
+        restored = pickle.loads(pickle.dumps(model))
+        # A pickled model carries its parameters, not its layer caches,
+        # and pickling leaves the original's caches alone.
+        assert all(layer._backend_state == {} for layer in restored.layers)
+        assert any(layer._backend_state for layer in model.layers)
+        assert isinstance(restored.backend, OptimizedBackend)
+        np.testing.assert_array_equal(restored.predict(x), model.predict(x))
 
 
 class TestGoldenFingerprint:
-    """End-to-end seal: the reference backend reproduces the pre-backend
-    table-1 numbers bit for bit.
+    """End-to-end seal: the optimized backend, which every model runs on,
+    reproduces the pre-backend table-1 numbers bit for bit.
 
     The fingerprint hashes the full tiny-scale table-1 report (losses,
     fold metrics, predictions — everything ``to_dict`` emits) after
@@ -581,11 +596,11 @@ class TestGoldenFingerprint:
     def test_table1_tiny_fingerprint_bit_identical(self):
         from repro.experiments.runner import ExperimentScale, run_table1
 
-        assert default_backend().name == "reference"
+        assert nn.Sequential().backend.name == OptimizedBackend.name
         report = run_table1(scale=ExperimentScale.tiny())
         payload = json.dumps(self._strip_volatile(report.to_dict()), sort_keys=True)
         digest = hashlib.sha256(payload.encode()).hexdigest()
         assert digest == self.PINNED, (
-            "table-1 tiny fingerprint drifted: the reference backend is no "
-            f"longer bit-identical to the pinned numerics ({digest})"
+            "table-1 tiny fingerprint drifted: the optimized backend no "
+            f"longer reproduces the pinned numerics ({digest})"
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Dense
-from repro.nn.optimizers import SGD, Adam, Optimizer, RMSProp, get
+from repro.nn.optimizers import SGD, Adam, RMSProp, get
 
 
 def make_quadratic_layer(rng, target):

@@ -7,7 +7,6 @@ from repro.errors import ExecutorError, SupervisionError
 from repro.resilience.faults import (
     FaultPlan,
     UnitHang,
-    UnitRaise,
     WorkerCrash,
     get_fault_plan,
 )

@@ -8,7 +8,6 @@ from repro.scenarios import (
     REFERENCE_DEVICE,
     DeviceProfile,
     LabelSpace,
-    MaterializedPopulation,
     PopulationDynamics,
     archetype_counts,
     archetype_for_slot,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.nn.backends import default_backend
+from repro.nn.backends import OptimizedBackend
 from repro.resilience.retry import FakeClock
 from repro.serving import (
     AdmissionPolicy,
@@ -182,7 +182,8 @@ class TestBitIdentityProperty:
 
 
 class TestGoldenScenarioFingerprint:
-    """Pinned seal for one load-gen scenario on the reference backend.
+    """Pinned seal for one load-gen scenario on the optimized backend,
+    which every served model runs on.
 
     Any change to kernel math, normalization, batching slab layout,
     smoothing, scheduling order, or the synthetic-user generator moves
@@ -196,7 +197,9 @@ class TestGoldenScenarioFingerprint:
     def test_tiny_scenario_fingerprint_bit_identical(
         self, serving_system, tiny_maps_by_subject
     ):
-        assert default_backend().name == "reference"
+        assert isinstance(
+            serving_system.cluster_models[0].model.backend, OptimizedBackend
+        )
         report = run_load(_service(serving_system), TINY, tiny_maps_by_subject)
         assert report.fingerprint() == self.PINNED
 

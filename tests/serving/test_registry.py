@@ -113,11 +113,3 @@ class TestFileBackedCheckpoints:
         assert isinstance(got, TrainedModel)
         assert got.model.backend.name == trained.model.backend.name
         assert got.normalizer is trained.normalizer
-
-    def test_explicit_backend_override(self, serving_system, tmp_path):
-        trained = serving_system.cluster_models[0]
-        path = tmp_path / "c0.npz"
-        save_model(trained.model, path)
-        reg = ClusterModelRegistry(capacity=2, backend="optimized")
-        reg.register_checkpoint(("cluster", 0), path, trained.normalizer)
-        assert reg.model_for(("cluster", 0)).model.backend.name == "optimized"

@@ -1,7 +1,6 @@
 """Additional property-based tests for the newer modules."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
