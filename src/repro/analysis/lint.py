@@ -494,8 +494,6 @@ _RUNTIME_CONSTRUCTORS = frozenset(
     {
         "SerialExecutor",
         "ParallelExecutor",
-        "SupervisedExecutor",
-        "supervised_map",
         "make_executor",
         "ContentCache",
         "feature_map_cache",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -19,6 +19,9 @@ class StandardScaler:
         self.eps = float(eps)
         self.mean_: Optional[np.ndarray] = None
         self.std_: Optional[np.ndarray] = None
+
+    def __repro_content__(self) -> Tuple:
+        return (self.eps, self.mean_, self.std_)
 
     def fit(self, x: np.ndarray) -> "StandardScaler":
         x = np.asarray(x, dtype=np.float64)

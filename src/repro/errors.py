@@ -93,37 +93,9 @@ class ExecutorError(ResilienceError):
     """The execution layer cannot run work units at all.
 
     Raised for platform-level problems — e.g. requesting the default
-    ``fork`` start method on an OS that does not support it — as opposed
-    to individual work units failing (see :class:`SupervisionError`).
-    The message always says what to pass instead.
+    ``fork`` start method on an OS that does not support it.  The
+    message always says what to pass instead.
     """
-
-
-class WorkUnitPoisonError(ExecutorError):
-    """An injected poison work unit raised (executor-level fault plans).
-
-    The exception type the :class:`~repro.resilience.faults.UnitRaise`
-    fault throws inside a worker, so chaos tests can distinguish the
-    injected failure from a genuine bug in the worker function.
-    """
-
-
-class SupervisionError(ExecutorError):
-    """Work units were quarantined after exhausting their retry budget.
-
-    Raised by the supervised executor in strict (non-partial) mode;
-    carries the machine-readable failure manifest.
-
-    Attributes
-    ----------
-    failures:
-        One :class:`~repro.runtime.supervision.UnitFailure` per
-        quarantined unit, in unit order.
-    """
-
-    def __init__(self, message: str, failures: tuple = ()):
-        super().__init__(message)
-        self.failures = tuple(failures)
 
 
 class ServingError(ResilienceError):

@@ -81,11 +81,9 @@ def compute_checksum(arrays: Dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def save_model(model: Sequential, path: Union[str, Path]) -> Path:
-    """Write the model architecture + weights + state to ``path`` (.npz)."""
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
+def model_arrays(model: Sequential) -> Dict[str, np.ndarray]:
+    """The arrays a checkpoint holds for ``model``, checksum aside:
+    the architecture config, every parameter and non-trainable state."""
     arrays = {CONFIG_KEY: np.frombuffer(
         json.dumps(model_to_config(model)).encode("utf-8"), dtype=np.uint8
     )}
@@ -95,6 +93,15 @@ def save_model(model: Sequential, path: Union[str, Path]) -> Path:
         if hasattr(layer, "get_state"):
             for key, value in layer.get_state().items():
                 arrays[f"state/{i}/{key}"] = value
+    return arrays
+
+
+def save_model(model: Sequential, path: Union[str, Path]) -> Path:
+    """Write the model architecture + weights + state to ``path`` (.npz)."""
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_suffix(".npz")
+    arrays = model_arrays(model)
     arrays[CHECKSUM_KEY] = np.frombuffer(
         compute_checksum(arrays).encode("ascii"), dtype=np.uint8
     )

@@ -31,16 +31,15 @@ class LeakyReLU(Layer):
     def __init__(self, alpha: float = 0.01, name: Optional[str] = None):
         super().__init__(name=name)
         self.alpha = float(alpha)
-        self._x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._backend_state["x"] = x
         return F.leaky_relu(x, self.alpha)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
+        if "x" not in self._backend_state:
             raise RuntimeError("backward called before forward")
-        return grad_out * F.leaky_relu_grad(self._x, self.alpha)
+        return grad_out * F.leaky_relu_grad(self._backend_state["x"], self.alpha)
 
     def get_config(self) -> Dict:
         return {"name": self.name, "alpha": self.alpha}
@@ -52,16 +51,15 @@ class ELU(Layer):
     def __init__(self, alpha: float = 1.0, name: Optional[str] = None):
         super().__init__(name=name)
         self.alpha = float(alpha)
-        self._x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._backend_state["x"] = x
         return F.elu(x, self.alpha)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
+        if "x" not in self._backend_state:
             raise RuntimeError("backward called before forward")
-        return grad_out * F.elu_grad(self._x, self.alpha)
+        return grad_out * F.elu_grad(self._backend_state["x"], self.alpha)
 
     def get_config(self) -> Dict:
         return {"name": self.name, "alpha": self.alpha}
@@ -70,35 +68,27 @@ class ELU(Layer):
 class Sigmoid(Layer):
     """Logistic sigmoid layer."""
 
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name=name)
-        self._y: Optional[np.ndarray] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = F.sigmoid(x)
-        return self._y
+        y = self._backend_state["y"] = F.sigmoid(x)
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._y is None:
+        if "y" not in self._backend_state:
             raise RuntimeError("backward called before forward")
-        return grad_out * F.sigmoid_grad_from_output(self._y)
+        return grad_out * F.sigmoid_grad_from_output(self._backend_state["y"])
 
 
 class Tanh(Layer):
     """Hyperbolic tangent layer."""
 
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name=name)
-        self._y: Optional[np.ndarray] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = F.tanh(x)
-        return self._y
+        y = self._backend_state["y"] = F.tanh(x)
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._y is None:
+        if "y" not in self._backend_state:
             raise RuntimeError("backward called before forward")
-        return grad_out * F.tanh_grad_from_output(self._y)
+        return grad_out * F.tanh_grad_from_output(self._backend_state["y"])
 
 
 class Softmax(Layer):
@@ -109,17 +99,13 @@ class Softmax(Layer):
     explicit probabilities.
     """
 
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name=name)
-        self._y: Optional[np.ndarray] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = F.softmax(x, axis=-1)
-        return self._y
+        y = self._backend_state["y"] = F.softmax(x, axis=-1)
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._y is None:
+        if "y" not in self._backend_state:
             raise RuntimeError("backward called before forward")
-        y = self._y
+        y = self._backend_state["y"]
         dot = np.sum(grad_out * y, axis=-1, keepdims=True)
         return y * (grad_out - dot)

@@ -43,7 +43,6 @@ class TemporalAttention(Layer):
             )
         self.attention_units = int(attention_units)
         self.kernel_init = initializers.get(kernel_init)
-        self._cache: Optional[Dict] = None
 
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
         if len(input_shape) != 2:
@@ -64,15 +63,15 @@ class TemporalAttention(Layer):
         scores = h @ self.params["v"]
         alpha = softmax(scores, axis=1)
         out = np.einsum("nt,ntf->nf", alpha, x)
-        self._cache = {"x": x, "h": h, "alpha": alpha}
+        self._backend_state.update(x=x, h=h, alpha=alpha)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        if "alpha" not in self._backend_state:
             raise RuntimeError("backward called before forward")
-        x = self._cache["x"]
-        h = self._cache["h"]
-        alpha = self._cache["alpha"]
+        x = self._backend_state["x"]
+        h = self._backend_state["h"]
+        alpha = self._backend_state["alpha"]
         w, v = self.params["W"], self.params["v"]
 
         # out = sum_t alpha_t x_t
@@ -100,9 +99,8 @@ class TemporalAttention(Layer):
 
     def attention_weights(self) -> Optional[np.ndarray]:
         """The last forward pass's attention distribution (N, T)."""
-        if self._cache is None:
-            return None
-        return self._cache["alpha"].copy()
+        alpha = self._backend_state.get("alpha")
+        return None if alpha is None else alpha.copy()
 
     def get_config(self) -> Dict:
         return {"name": self.name, "attention_units": self.attention_units}

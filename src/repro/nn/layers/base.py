@@ -39,8 +39,9 @@ class Layer:
         self.built = False
         self.frozen = False
         self.training = True
-        # The state dict is this layer's private cache / workspace
-        # storage, owned by whichever backend runs it.
+        # The state dict holds everything a call leaves behind: the
+        # layer's forward caches and its backend's workspaces.  Nothing
+        # else may cache per call, so __getstate__ can drop it whole.
         self._backend: ComputeBackend = RUNTIME_BACKEND
         self._backend_state: Dict = {}
 

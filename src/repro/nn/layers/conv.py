@@ -143,7 +143,6 @@ class Conv2D(Layer):
         self.use_bias = bool(use_bias)
         self.kernel_init = initializers.get(kernel_init)
         self.bias_init = initializers.get(bias_init)
-        self._last_pad: Optional[PadPairs] = None
 
     def _pad_pairs(self, h: int, w: int) -> PadPairs:
         """Per-side pads for a concrete (h, w) input."""
@@ -168,7 +167,7 @@ class Conv2D(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         pad = self._pad_pairs(x.shape[2], x.shape[3])
-        self._last_pad = pad
+        self._backend_state["pad"] = pad
         return self.backend.conv2d_forward(
             x,
             self.params["W"],
@@ -179,10 +178,11 @@ class Conv2D(Layer):
         )
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._last_pad is None:
+        pad = self._backend_state.get("pad")
+        if pad is None:
             raise RuntimeError("backward called before forward")
         dx, dw, db = self.backend.conv2d_backward(
-            grad_out, self.params["W"], self.stride, self._last_pad, self._backend_state
+            grad_out, self.params["W"], self.stride, pad, self._backend_state
         )
         self.grads["W"] = dw
         if self.use_bias:

@@ -25,24 +25,25 @@ class Dropout(Layer):
         self.rate = float(rate)
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training or self.rate == 0.0:
-            self._mask = None
+            self._backend_state.pop("mask", None)
             return x
         keep = 1.0 - self.rate
         # The mask adopts x's dtype so float32 activations are not
         # silently upcast mid-network (values are unchanged for float64).
-        self._mask = (self._rng.random(x.shape) < keep).astype(x.dtype) / np.asarray(
+        mask = (self._rng.random(x.shape) < keep).astype(x.dtype) / np.asarray(
             keep, dtype=x.dtype
         )
-        return x * self._mask
+        self._backend_state["mask"] = mask
+        return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        mask = self._backend_state.get("mask")
+        if mask is None:
             return grad_out
-        return grad_out * self._mask
+        return grad_out * mask
 
     def get_config(self) -> Dict:
         # The seed must round-trip through checkpoints: rebuilding this

@@ -30,7 +30,6 @@ class BatchNorm(Layer):
         self.eps = float(eps)
         self.running_mean: Optional[np.ndarray] = None
         self.running_var: Optional[np.ndarray] = None
-        self._cache: Optional[Dict] = None
         self._axes: Optional[Tuple[int, ...]] = None
         self._param_shape: Optional[Tuple[int, ...]] = None
 
@@ -83,14 +82,14 @@ class BatchNorm(Layer):
         x_hat = (x - mean) * inv_std
         out = self.params["gamma"] * x_hat + self.params["beta"]
         if self.training:
-            self._cache = {"x_hat": x_hat, "inv_std": inv_std, "x": x, "mean": mean}
+            self._backend_state.update(x_hat=x_hat, inv_std=inv_std)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        if "x_hat" not in self._backend_state:
             raise RuntimeError("backward called before forward (in training mode)")
-        x_hat = self._cache["x_hat"]
-        inv_std = self._cache["inv_std"]
+        x_hat = self._backend_state["x_hat"]
+        inv_std = self._backend_state["inv_std"]
         axes = self._axes
         m = float(np.prod([grad_out.shape[a] for a in axes]))
 

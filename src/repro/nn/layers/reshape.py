@@ -12,18 +12,14 @@ from .base import Layer
 class Flatten(Layer):
     """Collapse all non-batch dimensions into one."""
 
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name=name)
-        self._x_shape: Optional[Tuple[int, ...]] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
+        self._backend_state["x_shape"] = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
+        if "x_shape" not in self._backend_state:
             raise RuntimeError("backward called before forward")
-        return grad_out.reshape(self._x_shape)
+        return grad_out.reshape(self._backend_state["x_shape"])
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return (int(np.prod(input_shape)),)
@@ -35,16 +31,15 @@ class Reshape(Layer):
     def __init__(self, target_shape: Tuple[int, ...], name: Optional[str] = None):
         super().__init__(name=name)
         self.target_shape = tuple(int(s) for s in target_shape)
-        self._x_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
+        self._backend_state["x_shape"] = x.shape
         return x.reshape((x.shape[0],) + self.target_shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
+        if "x_shape" not in self._backend_state:
             raise RuntimeError("backward called before forward")
-        return grad_out.reshape(self._x_shape)
+        return grad_out.reshape(self._backend_state["x_shape"])
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         if int(np.prod(input_shape)) != int(np.prod(self.target_shape)):
@@ -66,21 +61,17 @@ class ToSequence(Layer):
     feature-map window axis as time (Fig. 2 of the paper).
     """
 
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name=name)
-        self._x_shape: Optional[Tuple[int, int, int, int]] = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"ToSequence expects (N, C, H, W) inputs, got {x.shape}")
-        self._x_shape = x.shape
+        self._backend_state["x_shape"] = x.shape
         n, c, h, w = x.shape
         return x.transpose(0, 3, 1, 2).reshape(n, w, c * h)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
+        if "x_shape" not in self._backend_state:
             raise RuntimeError("backward called before forward")
-        n, c, h, w = self._x_shape
+        n, c, h, w = self._backend_state["x_shape"]
         return grad_out.reshape(n, w, c, h).transpose(0, 2, 3, 1)
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -317,6 +317,14 @@ class Sequential:
     def num_params(self) -> int:
         return sum(layer.num_params for layer in self.layers)
 
+    def __repro_content__(self) -> Dict[str, np.ndarray]:
+        """Digest content: what a checkpoint stores (config, params,
+        layer state), not training flags or per-call caches."""
+        # Imported lazily: repro.nn.checkpoint imports this module.
+        from .checkpoint import model_arrays
+
+        return model_arrays(self)
+
     def summary(self, input_shape: Optional[Tuple[int, ...]] = None) -> str:
         """Human-readable table of layers, output shapes, and params."""
         lines = [f"{'layer':<28}{'output shape':<22}{'params':>10}"]

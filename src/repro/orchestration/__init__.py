@@ -37,7 +37,7 @@ from .grouping import (
     member_maps,
     outside_maps,
 )
-from .provenance import UNHASHABLE, Artifact, Provenance, artifact_digest
+from .provenance import Artifact, Provenance, artifact_digest
 from .stage import Stage, StageContext
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "RunJournal",
     "Stage",
     "StageContext",
-    "UNHASHABLE",
     "artifact_digest",
     "executor_for_workers",
     "group_maps_by_subject",

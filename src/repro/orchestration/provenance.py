@@ -13,49 +13,31 @@ Digests are content-addressed through the same canonical hashing the
 runtime cache uses (:func:`repro.runtime.cache.content_key`), so an
 artifact digest matches across processes, executors, and warm/cold
 cache states whenever the value's *content* is identical.  Values that
-carry volatile fields (wall times, live runtime stats) expose a
-``__repro_content__()`` method returning only their stable content;
-:func:`artifact_digest` honors it.
+carry volatile fields (wall times, live runtime stats) or are not plain
+data (fitted scalers, models) expose a ``__repro_content__()`` method
+returning only their stable content; :func:`artifact_digest` honors it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..runtime.cache import content_key
 
-#: Digest value used when an artifact's content cannot be hashed at all.
-UNHASHABLE = "unhashable"
-
 
 def artifact_digest(value: Any) -> str:
     """Stable content digest of an artifact value.
 
-    Resolution order:
-
-    1. ``value.__repro_content__()`` — the object's declared stable
-       content, hashed canonically (volatile fields excluded).
-    2. Canonical hashing of the raw value (ndarray / scalars /
-       containers / dataclasses).
-    3. Deterministic pickle (fixed protocol) of the value, SHA-256'd.
-    4. :data:`UNHASHABLE` when even pickling fails.
+    The value's declared ``__repro_content__()`` (volatile fields
+    excluded), else the value itself, is hashed canonically: ndarrays,
+    scalars, containers and dataclasses, recursing through any nested
+    ``__repro_content__``.  Any other leaf type raises :class:`TypeError`
+    naming it.
     """
-    content = value
     hook = getattr(value, "__repro_content__", None)
-    if callable(hook):
-        content = hook()
-    try:
-        return content_key("artifact.v1", content)
-    except TypeError:
-        pass
-    try:
-        payload = pickle.dumps(content, protocol=4)
-    except Exception:
-        return UNHASHABLE
-    return hashlib.sha256(b"artifact-pickle.v1" + payload).hexdigest()
+    content = hook() if callable(hook) else value
+    return content_key("artifact.v1", content)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,6 @@ from ..errors import (
     ResilienceError,
     RetryError,
     SignalQualityError,
-    SupervisionError,
-    WorkUnitPoisonError,
 )
 from .degradation import (
     ABSTAINED,
@@ -62,10 +60,7 @@ from .faults import (
     MotionBurst,
     NaNBurst,
     SampleLoss,
-    UnitHang,
-    UnitRaise,
     ValueClipping,
-    WorkerCrash,
     get_fault_plan,
     register_fault_plan,
     registered_fault_plans,
@@ -89,8 +84,6 @@ __all__ = [
     "RetryError",
     "FederatedRoundError",
     "ExecutorError",
-    "SupervisionError",
-    "WorkUnitPoisonError",
     # faults
     "Fault",
     "FaultPlan",
@@ -102,9 +95,6 @@ __all__ = [
     "ValueClipping",
     "MotionBurst",
     "FeatureNaN",
-    "UnitRaise",
-    "WorkerCrash",
-    "UnitHang",
     "CheckpointCorruption",
     "CHECKPOINT_CORRUPTION_MODES",
     "FAULT_PLANS",

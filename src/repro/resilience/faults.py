@@ -10,10 +10,6 @@ deployment can lose:
 * **sample streams** — ``plan.apply_to_signals({"bvp": ..., ...}, fs)``
 * **feature maps** — ``plan.apply_to_feature_map(fmap)``
 * **checkpoint files** — ``plan.apply_to_checkpoint(path)``
-* **work units** — ``plan.apply_to_unit(index, attempt)``: executor-level
-  faults (a unit that raises, a worker that hard-dies via ``os._exit``,
-  a unit that hangs), injected at the top of a supervised worker by
-  :class:`~repro.runtime.supervision.SupervisedExecutor`.
 
 Every realistic fault the paper's deployment story can encounter is
 registered in :data:`FAULT_PLANS`; ``tests/resilience`` sweeps that
@@ -22,14 +18,12 @@ registry through the full cold-start pipeline.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import WorkUnitPoisonError
 from ..signals.feature_map import FeatureMap
 from ..signals.quality import (
     inject_clipping,
@@ -64,18 +58,6 @@ class Fault:
 
     def apply_to_checkpoint(self, path: Path, rng: np.random.Generator) -> Path:
         return path
-
-    def apply_to_unit(
-        self, index: int, attempt: int, rng: np.random.Generator
-    ) -> None:
-        """Executor-level surface: may raise, hang, or kill the worker.
-
-        Called at the top of a supervised work unit with the unit's
-        position in the work list and the 1-based attempt number, so a
-        fault can target one poison unit, or fail only the first *k*
-        attempts (modelling a transient crash that a retry survives).
-        """
-        return None
 
 
 @dataclass
@@ -248,67 +230,6 @@ class CheckpointCorruption(Fault):
 
 
 @dataclass
-class _UnitFault(Fault):
-    """Base for executor-level faults targeting one work-unit index.
-
-    ``fail_attempts`` bounds how many (1-based) attempts the fault
-    fires on: ``1`` models a transient failure the first retry
-    survives, ``None`` a persistent poison unit that never succeeds.
-    """
-
-    unit_index: int = 0
-    fail_attempts: Optional[int] = 1
-
-    def _fires(self, index: int, attempt: int) -> bool:
-        if index != self.unit_index:
-            return False
-        return self.fail_attempts is None or attempt <= self.fail_attempts
-
-
-@dataclass
-class UnitRaise(_UnitFault):
-    """Poison work unit: raises a typed error inside the worker."""
-
-    message: str = "injected poison unit"
-
-    def apply_to_unit(self, index, attempt, rng):
-        if self._fires(index, attempt):
-            raise WorkUnitPoisonError(
-                f"{self.message} (unit {index}, attempt {attempt})"
-            )
-
-
-@dataclass
-class WorkerCrash(_UnitFault):
-    """Worker process hard-dies mid-unit (OOM kill, segfault, power loss).
-
-    ``os._exit`` bypasses every ``finally`` / ``atexit`` handler, so
-    the supervisor sees exactly what a SIGKILL'd worker looks like: a
-    dead process with no result and no exception on the wire.
-    """
-
-    exit_code: int = 77
-
-    def apply_to_unit(self, index, attempt, rng):
-        if self._fires(index, attempt):
-            os._exit(self.exit_code)
-
-
-@dataclass
-class UnitHang(_UnitFault):
-    """Work unit wedges (deadlock, stuck I/O): sleeps past any deadline."""
-
-    hang_seconds: float = 3600.0
-
-    def apply_to_unit(self, index, attempt, rng):
-        if self._fires(index, attempt):
-            # The sanctioned clock wrapper — never a bare time.sleep.
-            from .retry import MonotonicClock
-
-            MonotonicClock().sleep(self.hang_seconds)
-
-
-@dataclass
 class FaultPlan:
     """A named, seeded composition of faults applied in order.
 
@@ -338,10 +259,6 @@ class FaultPlan:
     @property
     def targets_feature_map(self) -> bool:
         return any(isinstance(f, FeatureNaN) for f in self.faults)
-
-    @property
-    def targets_units(self) -> bool:
-        return any(isinstance(f, _UnitFault) for f in self.faults)
 
     def apply_to_signals(
         self,
@@ -373,22 +290,6 @@ class FaultPlan:
         for fault in self.faults:
             path = fault.apply_to_checkpoint(path, rng)
         return path
-
-    def apply_to_unit(
-        self,
-        index: int,
-        attempt: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        """Fire any executor-level faults aimed at ``(index, attempt)``.
-
-        Deterministic in ``(index, attempt)``: a retried unit sees the
-        same injection decision wherever and whenever it re-runs, which
-        keeps chaos sweeps bit-reproducible.
-        """
-        rng = rng if rng is not None else self.rng()
-        for fault in self.faults:
-            fault.apply_to_unit(index, attempt, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -492,30 +393,6 @@ def _register_builtins() -> None:
             (CheckpointCorruption(mode="garbage"),),
             seed=22,
             description="wrong file shipped: checkpoint replaced by noise",
-        ),
-        FaultPlan(
-            "unit_poison",
-            (UnitRaise(unit_index=1, fail_attempts=None),),
-            seed=23,
-            description="poisoned work unit: raises on every attempt",
-        ),
-        FaultPlan(
-            "unit_transient",
-            (UnitRaise(unit_index=1, fail_attempts=1),),
-            seed=24,
-            description="flaky work unit: raises once, succeeds on retry",
-        ),
-        FaultPlan(
-            "worker_crash",
-            (WorkerCrash(unit_index=1, fail_attempts=1),),
-            seed=25,
-            description="worker hard-dies (os._exit) on its first attempt",
-        ),
-        FaultPlan(
-            "unit_hang",
-            (UnitHang(unit_index=1, fail_attempts=1),),
-            seed=26,
-            description="work unit wedges until killed by its deadline",
         ),
     )
     for plan in builtin:

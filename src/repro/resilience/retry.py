@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple, Type, TypeVar
 
-import numpy as np
-
 from ..errors import RetryError
 
 T = TypeVar("T")
@@ -81,14 +79,6 @@ class RetryPolicy:
     deadline_s:
         Overall budget measured from the first attempt; when the next
         backoff would land past the deadline, retrying stops early.
-    jitter:
-        Fractional randomization of each delay: retry *k* sleeps
-        ``delay * U(1 - jitter, 1 + jitter)``.  Fleets of units that
-        fail together (one flaky shared resource) then spread their
-        retries instead of synchronizing their backoff into thundering
-        herds.  Jitter requires an **explicit** generator passed to
-        :meth:`delays` — this module never touches OS entropy, so a
-        jittered schedule is still exactly reproducible from its seed.
     """
 
     max_attempts: int = 3
@@ -96,7 +86,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     max_delay_s: float = 10.0
     deadline_s: Optional[float] = None
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -107,31 +96,12 @@ class RetryPolicy:
             raise ValueError("backoff_factor must be >= 1")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive when set")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
 
-    def delays(
-        self, rng: Optional[np.random.Generator] = None
-    ) -> Iterator[float]:
-        """The backoff delay before each retry (max_attempts - 1 values).
-
-        ``rng`` drives the jitter and is mandatory when ``jitter > 0``:
-        randomness is always threaded by the caller, never drawn from
-        OS entropy inside library code.
-        """
-        if self.jitter > 0.0 and rng is None:
-            raise ValueError(
-                "a jittered RetryPolicy needs an explicit rng; pass "
-                "delays(rng=np.random.default_rng(seed))"
-            )
+    def delays(self) -> Iterator[float]:
+        """The backoff delay before each retry (max_attempts - 1 values)."""
         delay = self.base_delay_s
         for _ in range(self.max_attempts - 1):
-            bounded = min(delay, self.max_delay_s)
-            if self.jitter > 0.0:
-                bounded *= float(
-                    rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
-                )
-            yield bounded
+            yield min(delay, self.max_delay_s)
             delay *= self.backoff_factor
 
 
@@ -142,7 +112,6 @@ def retry_call(
     retry_on: Tuple[Type[BaseException], ...] = (Exception,),
     on_retry: Optional[Callable[[int, BaseException], None]] = None,
     description: str = "operation",
-    rng: Optional[np.random.Generator] = None,
 ) -> T:
     """Call ``fn`` until it succeeds, the attempts run out, or the deadline hits.
 
@@ -159,9 +128,6 @@ def retry_call(
     on_retry:
         Called as ``on_retry(attempt_number, exception)`` before each
         backoff sleep — the hook for logging / metrics.
-    rng:
-        Explicit generator for the policy's seeded backoff jitter
-        (required when ``policy.jitter > 0``).
 
     Raises
     ------
@@ -172,7 +138,7 @@ def retry_call(
     policy = policy or RetryPolicy()
     clock = clock or MonotonicClock()
     start = clock.now()
-    delays = policy.delays(rng)
+    delays = policy.delays()
     attempts = 0
     while True:
         attempts += 1

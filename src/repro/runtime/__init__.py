@@ -34,16 +34,6 @@ from .executor import (
     resolve_mp_context,
     spawn_seeds,
 )
-from .supervision import (
-    FAILURE_CRASH,
-    FAILURE_EXCEPTION,
-    FAILURE_TIMEOUT,
-    SupervisedExecutor,
-    SupervisedOutcome,
-    SupervisionPolicy,
-    UnitFailure,
-    supervised_map,
-)
 
 __all__ = [
     "Executor",
@@ -53,14 +43,6 @@ __all__ = [
     "resolve_mp_context",
     "spawn_seeds",
     "RuntimeStats",
-    "SupervisedExecutor",
-    "SupervisionPolicy",
-    "SupervisedOutcome",
-    "UnitFailure",
-    "supervised_map",
-    "FAILURE_EXCEPTION",
-    "FAILURE_CRASH",
-    "FAILURE_TIMEOUT",
     "ContentCache",
     "CacheStats",
     "content_key",

@@ -77,6 +77,9 @@ class FeatureNormalizer:
         self.mean_: Optional[np.ndarray] = None
         self.std_: Optional[np.ndarray] = None
 
+    def __repro_content__(self) -> Tuple:
+        return (self.eps, self.mean_, self.std_)
+
     def fit(self, maps: Sequence[FeatureMap]) -> "FeatureNormalizer":
         if not maps:
             raise ValueError("cannot fit normalizer on an empty set")

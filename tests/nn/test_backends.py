@@ -567,6 +567,33 @@ class TestPickledModel:
         assert isinstance(restored.backend, OptimizedBackend)
         np.testing.assert_array_equal(restored.predict(x), model.predict(x))
 
+    @pytest.mark.parametrize("attention", [False, True], ids=["last", "attention"])
+    @pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
+    def test_pickle_bytes_independent_of_past_predicts(self, cell, attention):
+        """Every layer keeps its per-call caches in ``_backend_state``,
+        so the pickle of a model does not depend on the batch size of
+        its last forward pass."""
+        from repro.core import ModelConfig, build_cnn_lstm
+
+        cfg = ModelConfig(recurrent_cell=cell, attention_readout=attention)
+        model = build_cnn_lstm((1, 16, 4), cfg, seed=0)
+        rng = np.random.default_rng(31)
+        model.predict(rng.normal(size=(3, 1, 16, 4)))
+        after_three = pickle.dumps(model)
+        model.predict(rng.normal(size=(5, 1, 16, 4)))
+        assert pickle.dumps(model) == after_three
+
+    def test_attention_weights_survive_the_cache_move(self):
+        layer = nn.TemporalAttention(4)
+        assert layer.attention_weights() is None
+        x = np.random.default_rng(0).normal(size=(2, 5, 3))
+        layer.ensure_built(x, np.random.default_rng(1))
+        layer.forward(x)
+        alpha = layer.attention_weights()
+        assert alpha.shape == (2, 5)
+        np.testing.assert_allclose(alpha.sum(axis=1), 1.0)
+        assert pickle.loads(pickle.dumps(layer)).attention_weights() is None
+
 
 class TestGoldenFingerprint:
     """End-to-end seal: the optimized backend, which every model runs on,

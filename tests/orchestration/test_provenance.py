@@ -1,13 +1,18 @@
 """Artifact digesting and provenance record round-trips."""
 
-import numpy as np
+import pickle
 
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.clustering.scaling import StandardScaler
 from repro.orchestration import (
-    UNHASHABLE,
     Artifact,
     Provenance,
     artifact_digest,
 )
+from repro.signals.feature_map import FeatureMap, FeatureNormalizer
 
 
 class WithHook:
@@ -37,17 +42,49 @@ class TestArtifactDigest:
         assert artifact_digest(fast) == artifact_digest(slow)
         assert artifact_digest(fast) != artifact_digest(WithHook("other", 0.001))
 
-    def test_picklable_object_falls_back_to_pickle(self):
-        digest = artifact_digest(WithHookless())
-        assert digest == artifact_digest(WithHookless())
-        assert digest != UNHASHABLE
+    def test_undeclared_type_raises_type_error(self):
+        with pytest.raises(TypeError, match="WithHookless"):
+            artifact_digest(WithHookless())
+        with pytest.raises(TypeError, match="WithHookless"):
+            artifact_digest({"nested": [WithHookless()]})
 
-    def test_unpicklable_is_unhashable(self):
-        assert artifact_digest(lambda: 0) == UNHASHABLE
+    def test_unpicklable_raises_type_error(self):
+        with pytest.raises(TypeError, match="function"):
+            artifact_digest(lambda: 0)
+
+    def test_scaler_digests_are_their_statistics(self):
+        x = np.random.default_rng(0).normal(size=(20, 3))
+        a, b = StandardScaler().fit(x), StandardScaler().fit(x.copy())
+        assert artifact_digest(a) == artifact_digest(b)
+        assert artifact_digest(a) != artifact_digest(StandardScaler().fit(x + 1))
+        assert artifact_digest(a) != artifact_digest(StandardScaler(eps=1e-6).fit(x))
+        maps = [FeatureMap(x.T, label=0, subject_id=0)]
+        norm = FeatureNormalizer().fit(maps)
+        assert artifact_digest(norm) == artifact_digest(FeatureNormalizer().fit(maps))
+        assert artifact_digest(norm) != artifact_digest(a)
+
+    def test_model_digest_ignores_predicts_and_pickling(self):
+        from repro.core import build_cnn_lstm
+
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(8, 1, 16, 4))
+        model = build_cnn_lstm((1, 16, 4), seed=0).compile(
+            "softmax_cross_entropy", nn.Adam(1e-3)
+        )
+        model.fit(x, rng.integers(0, 2, 8), epochs=1, batch_size=4)
+        trained = artifact_digest(model)
+        model.predict(x[:3])
+        assert artifact_digest(model) == trained
+        assert artifact_digest(pickle.loads(pickle.dumps(model))) == trained
+        assert artifact_digest([model, (model,)]) == artifact_digest(
+            [model, (model,)]
+        )
+        untrained = build_cnn_lstm((1, 16, 4), seed=0)
+        assert artifact_digest(untrained) != trained
 
 
 class WithHookless:
-    """No __repro_content__, not canonically hashable -> pickle path."""
+    """No __repro_content__ and not plain data: not digestible."""
 
     x = 3
 

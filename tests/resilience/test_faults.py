@@ -14,15 +14,11 @@ from repro.resilience.faults import (
     MotionBurst,
     NaNBurst,
     SampleLoss,
-    UnitHang,
-    UnitRaise,
     ValueClipping,
-    WorkerCrash,
     get_fault_plan,
     register_fault_plan,
     registered_fault_plans,
 )
-from repro.errors import WorkUnitPoisonError
 from repro.signals.feature_map import FeatureMap
 from repro.signals.quality import flatline_fraction
 
@@ -55,10 +51,6 @@ class TestRegistry:
             "checkpoint_truncated",
             "checkpoint_bitflip",
             "checkpoint_garbage",
-            "unit_poison",
-            "unit_transient",
-            "worker_crash",
-            "unit_hang",
         }
         assert expected <= set(FAULT_PLANS)
 
@@ -136,7 +128,7 @@ class TestSignalFaults:
         [
             p
             for p in registered_fault_plans()
-            if not p.targets_checkpoint and not p.targets_units
+            if not p.targets_checkpoint
         ],
         ids=lambda p: p.name,
     )
@@ -213,66 +205,3 @@ class TestCheckpointFaults:
         assert get_fault_plan("checkpoint_bitflip").targets_checkpoint
         assert get_fault_plan("feature_nan").targets_feature_map
         assert not get_fault_plan("gsr_dead").targets_checkpoint
-
-
-class TestUnitFaults:
-    """Executor-level faults (the supervised sweep exercises them
-    end-to-end in tests/runtime/test_supervision.py; here we pin the
-    in-process firing semantics — WorkerCrash/UnitHang are only checked
-    on their *miss* paths, since a hit would kill or hang pytest)."""
-
-    def test_unit_plans_target_units_only(self):
-        for name in ("unit_poison", "unit_transient", "worker_crash", "unit_hang"):
-            plan = get_fault_plan(name)
-            assert plan.targets_units
-            assert not plan.targets_checkpoint
-            assert not plan.targets_feature_map
-
-    def test_unit_plans_are_signal_noops(self, signals):
-        """Data surfaces pass through executor-level plans untouched."""
-        out = get_fault_plan("unit_poison").apply_to_signals(signals, FS)
-        for name in signals:
-            np.testing.assert_array_equal(out[name], signals[name])
-
-    def test_unit_raise_fires_on_target_only(self):
-        plan = FaultPlan("t", (UnitRaise(unit_index=2, fail_attempts=None),), seed=0)
-        plan.apply_to_unit(0, 1)  # other units: no-op
-        plan.apply_to_unit(1, 5)
-        with pytest.raises(WorkUnitPoisonError, match=r"unit 2, attempt 1"):
-            plan.apply_to_unit(2, 1)
-
-    def test_transient_fault_stops_after_budget(self):
-        fault = UnitRaise(unit_index=0, fail_attempts=2)
-        plan = FaultPlan("t", (fault,), seed=0)
-        with pytest.raises(WorkUnitPoisonError):
-            plan.apply_to_unit(0, 1)
-        with pytest.raises(WorkUnitPoisonError):
-            plan.apply_to_unit(0, 2)
-        plan.apply_to_unit(0, 3)  # budget spent: the retry succeeds
-
-    def test_persistent_fault_never_stops(self):
-        plan = FaultPlan("t", (UnitRaise(unit_index=0, fail_attempts=None),), seed=0)
-        for attempt in (1, 2, 50):
-            with pytest.raises(WorkUnitPoisonError):
-                plan.apply_to_unit(0, attempt)
-
-    def test_firing_is_deterministic_in_index_and_attempt(self):
-        """Same (index, attempt) -> same decision, wherever it re-runs."""
-        plan = get_fault_plan("unit_transient")
-        for _ in range(3):
-            with pytest.raises(WorkUnitPoisonError):
-                plan.apply_to_unit(1, 1)
-            plan.apply_to_unit(1, 2)  # past the transient budget: no-op
-
-    def test_crash_and_hang_miss_paths_are_noops(self):
-        crash = WorkerCrash(unit_index=3, fail_attempts=None)
-        hang = UnitHang(unit_index=3, fail_attempts=None)
-        rng = np.random.default_rng(0)
-        for index in (0, 1, 2):
-            crash.apply_to_unit(index, 1, rng)  # would os._exit on a hit
-            hang.apply_to_unit(index, 1, rng)  # would sleep 3600s on a hit
-
-    def test_hang_past_budget_is_noop(self):
-        UnitHang(unit_index=0, fail_attempts=1).apply_to_unit(
-            0, 2, np.random.default_rng(0)
-        )

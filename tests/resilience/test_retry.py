@@ -1,6 +1,5 @@
 """Tests for retry/backoff-with-deadline on the injectable clock."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ResilienceError, RetryError
@@ -59,79 +58,13 @@ class TestRetryPolicy:
             {"base_delay_s": -0.1},
             {"backoff_factor": 0.5},
             {"deadline_s": 0.0},
-            {"jitter": -0.1},
-            {"jitter": 1.0},
+            {"max_delay_s": -1.0},
+            {"deadline_s": -5.0},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
-
-
-class TestJitter:
-    def test_jitter_requires_explicit_rng(self):
-        policy = RetryPolicy(max_attempts=3, jitter=0.5)
-        with pytest.raises(ValueError, match="explicit rng"):
-            list(policy.delays())
-
-    def test_jitter_zero_never_needs_rng(self):
-        assert list(RetryPolicy(max_attempts=3, base_delay_s=0.1).delays())
-
-    def test_jittered_delays_stay_in_band(self):
-        policy = RetryPolicy(
-            max_attempts=6, base_delay_s=1.0, backoff_factor=1.0, jitter=0.25
-        )
-        delays = list(policy.delays(np.random.default_rng(7)))
-        assert len(delays) == 5
-        assert all(0.75 <= d <= 1.25 for d in delays)
-        assert len(set(delays)) > 1  # actually randomized
-
-    def test_seeded_jitter_is_reproducible(self):
-        policy = RetryPolicy(max_attempts=5, base_delay_s=0.1, jitter=0.3)
-        a = list(policy.delays(np.random.default_rng(42)))
-        b = list(policy.delays(np.random.default_rng(42)))
-        assert a == b
-
-    def test_jitter_applies_after_max_delay_cap(self):
-        """The cap bounds the base delay; jitter then widens around it,
-        so the band is [cap*(1-j), cap*(1+j)] — not clipped at the cap."""
-        policy = RetryPolicy(
-            max_attempts=4,
-            base_delay_s=100.0,
-            max_delay_s=1.0,
-            jitter=0.5,
-        )
-        delays = list(policy.delays(np.random.default_rng(3)))
-        assert all(0.5 <= d <= 1.5 for d in delays)
-
-    def test_retry_call_threads_rng_into_backoff(self):
-        clock = FakeClock()
-        policy = RetryPolicy(
-            max_attempts=3, base_delay_s=1.0, backoff_factor=1.0, jitter=0.2
-        )
-        expected = list(policy.delays(np.random.default_rng(11)))
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise OSError("transient")
-            return "ok"
-
-        result = retry_call(
-            flaky, policy=policy, clock=clock, rng=np.random.default_rng(11)
-        )
-        assert result == "ok"
-        assert clock.sleeps == pytest.approx(expected)
-
-    def test_retry_call_jitter_without_rng_raises(self):
-        policy = RetryPolicy(max_attempts=2, jitter=0.1)
-
-        def always_fails():
-            raise OSError("nope")
-
-        with pytest.raises(ValueError, match="explicit rng"):
-            retry_call(always_fails, policy=policy, clock=FakeClock())
 
 
 class TestRetryCall:

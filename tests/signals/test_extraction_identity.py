@@ -60,12 +60,12 @@ class TestGoldenFeatureMaps:
 # ---------------------------------------------------------------------------
 
 #: Fault plans that corrupt raw signals (NaN bursts, flatlines, dropout,
-#: clipping, sample loss, clock skew); the others hit maps, checkpoints
-#: or executor units.
+#: clipping, sample loss, clock skew); the others hit maps or
+#: checkpoints.
 SIGNAL_PLANS = [
     plan
     for plan in registered_fault_plans()
-    if not (plan.targets_checkpoint or plan.targets_feature_map or plan.targets_units)
+    if not (plan.targets_checkpoint or plan.targets_feature_map)
 ]
 
 RATES = SensorRates(bvp=32.0, gsr=4.0, skt=4.0)
