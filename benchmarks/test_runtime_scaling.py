@@ -162,9 +162,9 @@ def test_validation_scaling_and_cache(bench_dataset, tmp_path):
     assert _folds(cold.without_ft) == _folds(serial.without_ft)
     assert _folds(warm.without_ft) == _folds(serial.without_ft)
     # Warm rerun re-trains no fold checkpoint.
-    assert warm.runtime.cache_misses == 0
-    assert warm.runtime.cache_hits == (
-        cold.runtime.cache_hits + cold.runtime.cache_misses
+    assert warm.provenance.cache_misses == 0
+    assert warm.provenance.cache_hits == (
+        cold.provenance.cache_hits + cold.provenance.cache_misses
     )
 
     _merge_report(
@@ -178,7 +178,7 @@ def test_validation_scaling_and_cache(bench_dataset, tmp_path):
             "cold_cache_s": round(cold_s, 3),
             "warm_cache_s": round(warm_s, 3),
             "cache_speedup": round(cold_s / warm_s, 1) if warm_s else None,
-            "warm_hit_rate": warm.runtime.cache_hit_rate,
+            "warm_hit_rate": warm.provenance.cache_hit_rate,
         },
     )
     print(

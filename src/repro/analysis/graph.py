@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from .shapes import (
     GraphValidationError,
     TensorSpec,
     estimate_param_count,
-    infer_output_dtype,
     infer_output_shape,
 )
 
@@ -131,20 +132,29 @@ def trace_layers(
     input_shape:
         Batch-less input shape, e.g. ``(1, F, W)`` for the CNN-LSTM.
     dtype:
-        Input activation dtype; propagated to detect silent promotions.
+        Input activation dtype.  The model casts it once, at its input,
+        to the runtime backend's ``compute_dtype``; every layer keeps
+        that dtype.  A cast that changes the dtype is reported as a
+        warning.
     """
-    spec = TensorSpec(tuple(input_shape), dtype)
+    from ..nn.layers.base import RUNTIME_BACKEND
+
+    compute = RUNTIME_BACKEND.compute_dtype(dtype).name
+    spec = TensorSpec(tuple(input_shape), compute)
     if any(dim < 1 for dim in spec.shape):
         raise GraphValidationError(
             f"input shape {spec.shape} has a zero/negative dimension"
         )
     reports: List[LayerReport] = []
     warnings: List[str] = []
+    if compute != np.dtype(dtype).name:
+        warnings.append(
+            f"model input casts {dtype} activations to {compute} "
+            f"({RUNTIME_BACKEND.name} backend dtype policy); reduced-precision "
+            f"inputs do not stay reduced inside the model"
+        )
     for index, layer in enumerate(layers):
         out_shape = infer_output_shape(layer, index, spec)
-        out_dtype, warning = infer_output_dtype(layer, spec)
-        if warning is not None:
-            warnings.append(f"layer {index} ({getattr(layer, 'name', '?')}): {warning}")
         reports.append(
             LayerReport(
                 index=index,
@@ -154,10 +164,10 @@ def trace_layers(
                 output_shape=out_shape,
                 params=estimate_param_count(layer, spec),
                 input_dtype=spec.dtype,
-                output_dtype=out_dtype,
+                output_dtype=spec.dtype,
             )
         )
-        spec = TensorSpec(out_shape, out_dtype)
+        spec = TensorSpec(out_shape, spec.dtype)
     return ModelReport(
         input_shape=tuple(int(s) for s in input_shape),
         input_dtype=dtype,

@@ -1,4 +1,4 @@
-"""Symbolic shape, dtype, and parameter-count inference for layer stacks.
+"""Symbolic shape and parameter-count inference for layer stacks.
 
 Everything here is *static*: layers are inspected through their
 constructor attributes and ``output_shape`` contracts, never executed.
@@ -213,29 +213,3 @@ def estimate_param_count(layer, spec: TensorSpec) -> int:
     return counter(layer, spec.shape) if counter else 0
 
 
-# -- dtype propagation ---------------------------------------------------
-
-#: Layers with float64 parameters: their matmuls promote lower-precision
-#: inputs, which silently undoes an upstream quantization/downcast.
-PARAMETRIC_LAYERS = frozenset(PARAM_COUNTERS)
-
-
-def infer_output_dtype(layer, spec: TensorSpec) -> Tuple[str, Optional[str]]:
-    """Propagate the dtype through one layer.
-
-    Returns ``(output_dtype, warning_or_None)``.  The numpy substrate
-    stores parameters as float64, so any parametric layer promotes a
-    lower-precision activation back to float64 — worth a warning when
-    the caller deliberately fed reduced precision (fp16/int8 pipelines).
-    """
-    cls = _layer_class(layer)
-    if cls not in PARAMETRIC_LAYERS:
-        return spec.dtype, None
-    promoted = np.result_type(np.dtype(spec.dtype), np.float64).name
-    if promoted != spec.dtype:
-        return promoted, (
-            f"{cls} promotes {spec.dtype} activations to {promoted} "
-            f"(float64 parameters); reduced-precision inputs will not stay "
-            f"reduced past this layer"
-        )
-    return promoted, None

@@ -53,7 +53,6 @@ class TrainingConfig:
     learning_rate: float = 1e-3
     early_stopping_patience: int = 8
     clipnorm: float = 5.0
-    validation_fraction: float = 0.0  # 0 disables a held-out val split
 
     def __post_init__(self) -> None:
         if self.epochs < 1:

@@ -43,14 +43,17 @@ def _config_to_dict(config: CLEARConfig) -> Dict:
 def _config_from_dict(data: Dict) -> CLEARConfig:
     data = dict(data)
     model = dict(data["model"])
-    # Older manifests record the compute backend; every model runs on one.
+    training = dict(data["training"])
+    # Older manifests record the compute backend (every model runs on
+    # one) and a validation split fraction (training holds none back).
     model.pop("backend", None)
+    training.pop("validation_fraction", None)
     data["model"] = ModelConfig(**{
         **model,
         "conv_filters": tuple(model["conv_filters"]),
         "pool_size": tuple(model["pool_size"]),
     })
-    data["training"] = TrainingConfig(**data["training"])
+    data["training"] = TrainingConfig(**training)
     data["fine_tuning"] = FineTuneConfig(**data["fine_tuning"])
     return CLEARConfig(**data)
 

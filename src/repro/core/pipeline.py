@@ -23,7 +23,7 @@ from ..orchestration.graph import PipelineGraph
 from ..orchestration.grouping import member_maps as _member_maps
 from ..orchestration.provenance import Provenance
 from ..orchestration.stage import Stage, StageContext
-from ..runtime.executor import Executor, RuntimeStats
+from ..runtime.executor import Executor
 from ..signals.feature_map import FeatureMap
 from .config import CLEARConfig, ModelConfig, TrainingConfig
 from .trainer import TrainedModel, fine_tune, train_on_maps_cached
@@ -38,8 +38,6 @@ class CLEARSystem:
     subclusters: Dict[int, SubClusterModel]
     assigner: ColdStartAssigner
     cluster_models: Dict[int, TrainedModel]
-    #: How the cloud stage ran: executor shape + checkpoint-cache counters.
-    runtime: Optional[RuntimeStats] = None
     #: Per-stage lineage of the fit graph (global clustering, sub-
     #: clustering, per-cluster pre-training), in execution order.
     provenance: Tuple[Provenance, ...] = ()
@@ -49,8 +47,8 @@ class CLEARSystem:
 
     def __repro_content__(self) -> Tuple:
         # Stable content of a fitted system: everything that determines
-        # its predictions.  Runtime stats / provenance carry wall times
-        # and the lazy population model is derived state.
+        # its predictions.  Provenance carries wall times and the lazy
+        # population model is derived state.
         return (
             "CLEARSystem",
             self.config,
@@ -58,6 +56,16 @@ class CLEARSystem:
             self.subclusters,
             self.cluster_models,
         )
+
+    @property
+    def runtime(self) -> Optional[Provenance]:
+        """How the cluster pre-training ran: the ``cluster_models`` stage's
+        provenance (executor shape, units, checkpoint-cache counters);
+        ``None`` for a system loaded from disk."""
+        for provenance in self.provenance:
+            if provenance.stage == "cluster_models":
+                return provenance
+        return None
 
     # -- edge-stage operations -------------------------------------------
     def assign_new_user(self, unlabeled_maps: Sequence[FeatureMap]) -> AssignmentResult:
@@ -362,10 +370,7 @@ class CLEAR:
             The initial (pre-deployment) population: subject id to that
             subject's labelled feature maps.
         """
-        import time as _time
-
         cfg = self.config
-        t0 = _time.perf_counter()
 
         # Pre-flight: validate the architecture against the population's
         # feature-map shape once, statically, so a bad config is rejected
@@ -385,24 +390,12 @@ class CLEAR:
         gc: GlobalClusteringResult = run.value("global_clustering")
         subclusters: Dict[int, SubClusterModel] = run.value("subclusters")
         cluster_models: Dict[int, TrainedModel] = run.value("cluster_models")
-        train_prov = run.provenance("cluster_models")
-
-        stats = RuntimeStats(
-            executor=self.executor.name,
-            workers=self.executor.workers,
-            units=train_prov.units,
-            cache_hits=train_prov.cache_hits,
-            cache_misses=train_prov.cache_misses,
-        )
-        stats.wall_time_s = _time.perf_counter() - t0
-
         return CLEARSystem(
             config=cfg,
             gc=gc,
             subclusters=subclusters,
             assigner=ColdStartAssigner(gc, subclusters),
             cluster_models=cluster_models,
-            runtime=stats,
             provenance=tuple(
                 run.provenance(name)
                 for name in ("global_clustering", "subclusters", "cluster_models")

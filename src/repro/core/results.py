@@ -8,7 +8,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..orchestration.provenance import Provenance
-from ..runtime.executor import RuntimeStats
 
 
 @dataclass
@@ -31,20 +30,16 @@ class MetricSummary:
 
     name: str
     folds: List[FoldMetrics] = field(default_factory=list)
-    #: How the folds behind this summary ran (executor shape, cache
-    #: hit/miss counters); None when the producer predates the runtime
-    #: layer or the summary was assembled by hand.
-    runtime: Optional[RuntimeStats] = None
-    #: Lineage of the fold-plan stage that produced these folds; None
-    #: when assembled by hand.
+    #: Lineage of the fold-plan stage that produced these folds (executor
+    #: shape, cache counters, wall time); None when assembled by hand.
     provenance: Optional[Provenance] = None
 
     def add(self, fold: FoldMetrics) -> None:
         self.folds.append(fold)
 
     def __repro_content__(self) -> Tuple:
-        # Stable content: the fold metrics only.  Runtime stats and
-        # provenance carry wall times, which must never shift a digest.
+        # Stable content: the fold metrics only.  Provenance carries
+        # wall times, which must never shift a digest.
         return (
             "MetricSummary",
             self.name,

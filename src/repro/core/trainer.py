@@ -88,21 +88,11 @@ def train_on_maps(
         ),
     ]
 
-    validation_data = None
-    if training.validation_fraction > 0 and len(train_maps) >= 5:
-        rng = np.random.default_rng(seed)
-        n_val = max(1, int(round(training.validation_fraction * x.shape[0])))
-        order = rng.permutation(x.shape[0])
-        val_idx, tr_idx = order[:n_val], order[n_val:]
-        validation_data = (x[val_idx], y[val_idx])
-        x, y = x[tr_idx], y[tr_idx]
-
     model.fit(
         x,
         y,
         epochs=training.epochs,
         batch_size=training.batch_size,
-        validation_data=validation_data,
         callbacks=callbacks,
     )
     return TrainedModel(model=model, normalizer=normalizer)

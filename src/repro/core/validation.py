@@ -41,7 +41,7 @@ from ..orchestration.grouping import (
     outside_maps,
 )
 from ..orchestration.provenance import Provenance
-from ..runtime.executor import Executor, RuntimeStats, spawn_seeds
+from ..runtime.executor import Executor, spawn_seeds
 from ..scenarios.adapter import population_records
 from ..scenarios.base import MaterializedPopulation, Scenario
 from ..signals.feature_map import FeatureMap, subject_signature
@@ -123,9 +123,7 @@ def evaluate_general_model(
         config=config,
         seed=config.seed,
     )
-    summary = MetricSummary(
-        "General Model", runtime=plan.stats, provenance=plan.provenance
-    )
+    summary = MetricSummary("General Model", provenance=plan.provenance)
     for fold, _, _ in plan.results:
         summary.add(fold)
     return summary
@@ -140,7 +138,6 @@ class CLValidationResult:
     cl: MetricSummary
     rt_cl: MetricSummary
     cluster_sizes: List[int] = field(default_factory=list)
-    runtime: Optional[RuntimeStats] = None
     provenance: Optional[Provenance] = None
 
     def __repro_content__(self) -> Tuple:
@@ -220,12 +217,8 @@ def cl_validation(
         config=config,
         seed=config.seed,
     )
-    cl_summary = MetricSummary(
-        "CL validation", runtime=plan.stats, provenance=plan.provenance
-    )
-    rt_summary = MetricSummary(
-        "RT CL", runtime=plan.stats, provenance=plan.provenance
-    )
+    cl_summary = MetricSummary("CL validation", provenance=plan.provenance)
+    rt_summary = MetricSummary("RT CL", provenance=plan.provenance)
     for cl_fold, rt_fold, _, _ in plan.results:
         cl_summary.add(cl_fold)
         if rt_fold is not None:
@@ -234,7 +227,6 @@ def cl_validation(
         cl=cl_summary,
         rt_cl=rt_summary,
         cluster_sizes=gc.cluster_sizes(),
-        runtime=plan.stats,
         provenance=plan.provenance,
     )
 
@@ -299,7 +291,6 @@ class CLEARValidationResult:
     with_ft: Optional[MetricSummary]
     assignments: Dict[int, int] = field(default_factory=dict)
     assignment_matches_gc: Dict[int, bool] = field(default_factory=dict)
-    runtime: Optional[RuntimeStats] = None
     provenance: Optional[Provenance] = None
     folds: List[CLEARFold] = field(default_factory=list, compare=False, repr=False)
 
@@ -354,7 +345,6 @@ def _clear_fold_unit(args: Tuple) -> Dict[str, object]:
             ft_metrics["accuracy"], ft_metrics["f1"], fold_id=v_x
         )
 
-    fit_stats = system.runtime
     return {
         "wo": wo_fold,
         "rt": rt_fold,
@@ -370,8 +360,8 @@ def _clear_fold_unit(args: Tuple) -> Dict[str, object]:
             test_maps=split.test_maps,
             ft_examples=len(split.ft_maps),
         ),
-        "hits": 0 if fit_stats is None else fit_stats.cache_hits,
-        "misses": 0 if fit_stats is None else fit_stats.cache_misses,
+        "hits": system.runtime.cache_hits,
+        "misses": system.runtime.cache_misses,
     }
 
 
@@ -437,12 +427,10 @@ def clear_validation(
         config=config,
         seed=config.seed,
     )
-    wo_ft = MetricSummary(
-        "CLEAR w/o FT", runtime=plan.stats, provenance=plan.provenance
-    )
-    rt = MetricSummary("RT CLEAR", runtime=plan.stats, provenance=plan.provenance)
+    wo_ft = MetricSummary("CLEAR w/o FT", provenance=plan.provenance)
+    rt = MetricSummary("RT CLEAR", provenance=plan.provenance)
     w_ft = (
-        MetricSummary("CLEAR w FT", runtime=plan.stats, provenance=plan.provenance)
+        MetricSummary("CLEAR w FT", provenance=plan.provenance)
         if with_fine_tuning
         else None
     )
@@ -464,7 +452,6 @@ def clear_validation(
         with_ft=w_ft,
         assignments=assignments,
         assignment_matches_gc=matches,
-        runtime=plan.stats,
         provenance=plan.provenance,
         folds=[unit["fold"] for unit in plan.results],
     )

@@ -32,9 +32,9 @@ from ..resilience.degradation import (
     MajorityVote,
     safe_probabilities,
 )
-from ..resilience.guards import quality_gate
 from ..signals.feature_map import FeatureMap, maps_to_arrays
 from ..signals.features import FeatureExtractor, SensorRates
+from ..signals.quality import quality_report
 
 
 class RingBuffer:
@@ -304,7 +304,7 @@ class OnlineDetector:
         if event.signals is not None and all(
             v.size >= 3 for v in event.signals.values()
         ):
-            report = quality_gate(
+            report = quality_report(
                 event.signals,
                 self.streaming.channel_rates,
                 min_overall=policy.min_quality,
@@ -346,7 +346,7 @@ class OnlineDetector:
             reasons.append(
                 f"too_many_gated_windows:{ctrl.gated_recent_fraction:.2f}"
             )
-            raw, probs = ctrl.abstain(reasons)
+            raw, probs = ctrl.abstain()
             state, held = ABSTAINED, True
         else:
             rolling = FeatureMap(
@@ -357,7 +357,7 @@ class OnlineDetector:
             probs = probs_row[0]
             if not trustworthy:
                 reasons.append("non_finite_model_output")
-                raw, probs = ctrl.abstain(reasons)
+                raw, probs = ctrl.abstain()
                 state, held = ABSTAINED, True
             else:
                 raw = int(np.argmax(probs))

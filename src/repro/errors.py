@@ -35,14 +35,6 @@ class CheckpointError(ResilienceError):
     """A checkpoint file is missing, truncated, corrupt, or fails its checksum."""
 
 
-class SignalQualityError(ResilienceError):
-    """A signal window was rejected by the quality gate in strict mode."""
-
-
-class FeatureGuardError(ResilienceError):
-    """A feature vector contained NaN/Inf and imputation was disabled."""
-
-
 class RetryError(ResilienceError):
     """A retried operation exhausted its attempts or deadline.
 

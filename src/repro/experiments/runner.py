@@ -32,6 +32,7 @@ from ..datasets import WEMACConfig
 from ..edge import ALL_DEVICES, EdgeDeployment, profile_model
 from ..orchestration import (
     PipelineGraph,
+    Provenance,
     Stage,
     executor_for_workers,
     group_maps_by_subject,
@@ -239,9 +240,9 @@ def _table1(
     measured = {s.name: s.as_row() for s in rows}
     measured["cluster_sizes"] = cl.cluster_sizes
     measured["runtime"] = {
-        "general": general.runtime.as_dict() if general.runtime else None,
-        "cl": cl.runtime.as_dict() if cl.runtime else None,
-        "clear": clear.runtime.as_dict() if clear.runtime else None,
+        "general": _runtime_row(general.provenance),
+        "cl": _runtime_row(cl.provenance),
+        "clear": _runtime_row(clear.provenance),
     }
     report = ExperimentReport(
         experiment_id="table1",
@@ -253,6 +254,19 @@ def _table1(
         provenance=run.lineage(),
     )
     return report, clear
+
+
+def _runtime_row(provenance: Provenance) -> Dict:
+    """How a fold plan ran: executor shape and cache traffic."""
+    return {
+        "executor": provenance.executor,
+        "workers": provenance.workers,
+        "units": provenance.units,
+        "wall_time_s": provenance.wall_time_s,
+        "cache_hits": provenance.cache_hits,
+        "cache_misses": provenance.cache_misses,
+        "cache_hit_rate": provenance.cache_hit_rate,
+    }
 
 
 def _clear_folds(scale: ExperimentScale, dataset) -> List[CLEARFold]:

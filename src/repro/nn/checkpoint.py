@@ -110,10 +110,8 @@ def save_model(model: Sequential, path: Union[str, Path]) -> Path:
     return path
 
 
-def _load_verified_arrays(
-    path: Path, verify_checksum: bool
-) -> Dict[str, np.ndarray]:
-    """Read every array out of the .npz, converting parse failures."""
+def _load_verified_arrays(path: Path) -> Dict[str, np.ndarray]:
+    """Read every array out of the .npz and verify its stored checksum."""
     try:
         with np.load(path, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
@@ -127,7 +125,7 @@ def _load_verified_arrays(
             f"checkpoint {path} has no architecture config entry "
             f"({CONFIG_KEY!r}); not a repro checkpoint or badly truncated"
         )
-    if verify_checksum and CHECKSUM_KEY in arrays:
+    if CHECKSUM_KEY in arrays:
         stored = bytes(arrays[CHECKSUM_KEY].tobytes()).decode(
             "ascii", errors="replace"
         )
@@ -141,11 +139,7 @@ def _load_verified_arrays(
     return arrays
 
 
-def load_model(
-    path: Union[str, Path],
-    seed: int = 0,
-    verify_checksum: bool = True,
-) -> Sequential:
+def load_model(path: Union[str, Path], seed: int = 0) -> Sequential:
     """Load a model saved by :func:`save_model`; ready for inference.
 
     The returned model still needs :meth:`Sequential.compile` before
@@ -162,7 +156,7 @@ def load_model(
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"checkpoint {path} does not exist")
-    arrays = _load_verified_arrays(path, verify_checksum)
+    arrays = _load_verified_arrays(path)
     try:
         config = json.loads(
             bytes(arrays[CONFIG_KEY].tobytes()).decode("utf-8")

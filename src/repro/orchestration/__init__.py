@@ -12,9 +12,7 @@ re-assembled by hand at every entry point:
   record (config digest, seed path, upstream digests, cache traffic,
   wall time).
 * :class:`PipelineGraph` — deterministic topological execution with
-  optional resilience screening of stage outputs, per-stage
-  ``on_failure`` degradation, and crash-safe resumable runs through a
-  :class:`RunJournal`.
+  crash-safe resumable runs through a :class:`RunJournal`.
 * :func:`run_fold_plan` — the one fold-dispatch implementation shared
   by every Table-I validation protocol.
 * :mod:`~repro.orchestration.grouping` — the shared per-subject map
@@ -29,7 +27,7 @@ from .context import (
     resolve_executor,
 )
 from .folds import FoldPlanResult, run_fold_plan
-from .graph import GraphRun, PipelineGraph, PipelineRun
+from .graph import PipelineGraph, PipelineRun
 from .journal import RunJournal, resolve_journal, run_key
 from .grouping import (
     group_maps_by_subject,
@@ -43,7 +41,6 @@ from .stage import Stage, StageContext
 __all__ = [
     "Artifact",
     "FoldPlanResult",
-    "GraphRun",
     "PipelineGraph",
     "PipelineRun",
     "Provenance",

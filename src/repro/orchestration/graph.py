@@ -5,23 +5,16 @@ declarations whose ``requires``/``provides`` names form a DAG.
 :meth:`PipelineGraph.run` resolves a deterministic topological order
 (Kahn's algorithm with declaration order as the tie-break), injects the
 runtime executor / cache / seed once per stage through a
-:class:`~repro.orchestration.stage.StageContext`, optionally screens
-stage outputs through the resilience feature guard, and wraps every
+:class:`~repro.orchestration.stage.StageContext`, and wraps every
 produced value in an :class:`~repro.orchestration.provenance.Artifact`
 whose :class:`~repro.orchestration.provenance.Provenance` chains the
 upstream digests.
 
-Two resilience hooks live at the same boundary:
-
-* ``run(..., journal=path)`` records every completed stage into a
-  :class:`~repro.orchestration.journal.RunJournal` and skips stages the
-  journal already holds — a SIGKILLed run resumes where it died, with
-  digests bit-identical to an uninterrupted run.
-* A stage declaring ``on_failure="skip_with_fallback"`` degrades
-  instead of aborting: its exception is recorded in
-  :attr:`GraphRun.failed_stages`, its ``fallback`` produces the
-  artifact, and the stage's :class:`~repro.resilience.degradation.
-  HealthStatus` in :attr:`GraphRun.health` says so.
+A stage that raises aborts the run.  ``run(..., journal=path)`` records
+every completed stage into a
+:class:`~repro.orchestration.journal.RunJournal` and skips stages the
+journal already holds — a SIGKILLed run resumes where it died, with
+digests bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..errors import OrchestrationError
-from ..resilience.degradation import FALLBACK, HEALTHY, HealthStatus
 from ..runtime.executor import Executor
 from .context import normalize_cache_dir, resolve_executor
 from .journal import RunJournal, resolve_journal, run_key
@@ -47,18 +39,11 @@ logger = logging.getLogger("repro.orchestration")
 class PipelineRun:
     """Every artifact produced by one graph execution.
 
-    Beyond the artifacts themselves, a run carries its resilience
-    record: ``failed_stages`` maps each stage that raised but was
-    declared ``on_failure="skip_with_fallback"`` to its error message,
-    and ``health`` holds a per-stage
-    :class:`~repro.resilience.degradation.HealthStatus` — ``HEALTHY``
-    for stages that executed (or were resumed from a journal) normally,
-    ``FALLBACK`` for stages that degraded to their fallback value.
+    ``resumed_stages`` names the stages rehydrated from a run journal
+    instead of executed.
     """
 
     artifacts: Dict[str, Artifact] = field(default_factory=dict)
-    failed_stages: Dict[str, str] = field(default_factory=dict)
-    health: Dict[str, HealthStatus] = field(default_factory=dict)
     resumed_stages: List[str] = field(default_factory=list)
 
     def __getitem__(self, name: str) -> Artifact:
@@ -76,29 +61,6 @@ class PipelineRun:
     def lineage(self) -> List[Dict[str, Any]]:
         """Provenance records of every artifact, in production order."""
         return [a.provenance.as_dict() for a in self.artifacts.values()]
-
-    def wall_time_s(self, name: str) -> float:
-        return self.artifacts[name].provenance.wall_time_s
-
-    @property
-    def ok(self) -> bool:
-        """True when no stage degraded to its fallback."""
-        return not self.failed_stages
-
-    def failure_manifest(self) -> Dict[str, Any]:
-        """Machine-readable record of every degraded stage."""
-        return {
-            "failed_stages": dict(self.failed_stages),
-            "health": {
-                name: status.to_dict() for name, status in self.health.items()
-            },
-            "resumed_stages": list(self.resumed_stages),
-        }
-
-
-#: The artifact container a graph run returns (alias: the run *is* the
-#: graph-shaped result, failures and health included).
-GraphRun = PipelineRun
 
 
 class PipelineGraph:
@@ -235,10 +197,6 @@ class PipelineGraph:
                 if artifact is not None:
                     run.artifacts[artifact.name] = artifact
                     run.resumed_stages.append(stage.name)
-                    run.health[stage.name] = HealthStatus(
-                        state=HEALTHY,
-                        reasons=(f"resumed from journal {journal.path}",),
-                    )
                     logger.debug(
                         "graph %s: stage %s resumed from journal (digest %s)",
                         self.name,
@@ -261,23 +219,8 @@ class PipelineGraph:
                 len(order),
             )
             t0 = time.perf_counter()
-            degraded: Optional[str] = None
-            try:
-                value = stage.run(ctx, inputs)
-            except Exception as exc:
-                if stage.on_failure != "skip_with_fallback":
-                    raise
-                degraded = f"{type(exc).__name__}: {exc}"
-                logger.warning(
-                    "graph %s: stage %s failed (%s); using its fallback",
-                    self.name,
-                    stage.name,
-                    degraded,
-                )
-                value = stage.run_fallback(ctx, inputs)
+            value = stage.run(ctx, inputs)
             wall = time.perf_counter() - t0
-            if stage.screen_output:
-                _screen_value(stage.name, value)
             provenance = Provenance(
                 stage=stage.name,
                 digest=artifact_digest(value),
@@ -303,20 +246,8 @@ class PipelineGraph:
                 name=stage.provides, value=value, provenance=provenance
             )
             run.artifacts[stage.provides] = artifact
-            if degraded is not None:
-                run.failed_stages[stage.name] = degraded
-                run.health[stage.name] = HealthStatus(
-                    state=FALLBACK,
-                    used_fallback_model=True,
-                    reasons=(degraded,),
-                )
-            else:
-                run.health[stage.name] = HealthStatus(state=HEALTHY)
-                # Write-ahead journaling of *healthy* stages only: a
-                # fallback value must never masquerade as the real
-                # artifact on a later resume.
-                if journal is not None:
-                    journal.record(stage.name, artifact)
+            if journal is not None:
+                journal.record(stage.name, artifact)
             logger.debug(
                 "graph %s: stage %s done in %.3fs (digest %s)",
                 self.name,
@@ -326,22 +257,3 @@ class PipelineGraph:
             )
         return run
 
-
-def _screen_value(stage_name: str, value: Any) -> None:
-    """Run the resilience feature guard over a stage's output arrays."""
-    import numpy as np
-
-    from ..resilience.guards import screen_features
-
-    arrays = []
-    if isinstance(value, np.ndarray):
-        arrays.append(value)
-    elif isinstance(value, (list, tuple)):
-        arrays.extend(v for v in value if isinstance(v, np.ndarray))
-    for arr in arrays:
-        report = screen_features(arr)
-        if not report.finite:
-            raise OrchestrationError(
-                f"stage {stage_name!r} produced non-finite features: "
-                f"{len(report.bad_indices)}/{report.size} bad entries"
-            )

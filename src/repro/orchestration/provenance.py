@@ -89,6 +89,11 @@ class Provenance:
     units: int = 0
     resumed_from: Optional[str] = None
 
+    @property
+    def cache_hit_rate(self) -> float:
+        lookups = self.cache_hits + self.cache_misses
+        return self.cache_hits / lookups if lookups else 0.0
+
     def as_dict(self) -> Dict[str, Any]:
         return {
             "stage": self.stage,

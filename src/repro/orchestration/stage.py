@@ -76,9 +76,6 @@ class Stage:
     seed:
         Stage-specific seed recorded in provenance (defaults to the
         graph run's seed).
-    screen_output:
-        When true, the resilience feature guard screens the stage's
-        output arrays at the boundary (NaN/Inf detection).
     input_specs:
         Optional mapping of required artifact name to an
         :class:`~repro.analysis.dataflow.shapeflow.ArtifactSpec`
@@ -87,19 +84,8 @@ class Stage:
     output_spec:
         Optional :class:`ArtifactSpec` contract for the produced
         artifact.
-    on_failure:
-        What the executing graph does when ``fn`` raises:
-        ``"raise"`` (default) propagates the exception and aborts the
-        run; ``"skip_with_fallback"`` records the failure on the run,
-        produces the stage's ``fallback`` value instead, and marks the
-        artifact's health as degraded — the graceful-degradation floor
-        (e.g. a :func:`~repro.resilience.degradation.
-        population_average_model`-style population average) at the
-        stage boundary.
-    fallback:
-        ``fallback(ctx, **inputs) -> value``, required when
-        ``on_failure == "skip_with_fallback"``; must be cheap and
-        must not itself depend on whatever broke the primary path.
+
+    If ``fn`` raises, the exception propagates and aborts the run.
     """
 
     name: str
@@ -108,11 +94,8 @@ class Stage:
     provides: str = ""
     config: Any = None
     seed: Optional[int] = None
-    screen_output: bool = False
     input_specs: Optional[Dict[str, Any]] = None
     output_spec: Optional[Any] = None
-    on_failure: str = "raise"
-    fallback: Optional[Callable[..., Any]] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -120,16 +103,6 @@ class Stage:
         if not self.provides:
             self.provides = self.name
         self.requires = tuple(self.requires)
-        if self.on_failure not in ("raise", "skip_with_fallback"):
-            raise OrchestrationError(
-                f"stage {self.name!r}: on_failure must be 'raise' or "
-                f"'skip_with_fallback', got {self.on_failure!r}"
-            )
-        if self.on_failure == "skip_with_fallback" and self.fallback is None:
-            raise OrchestrationError(
-                f"stage {self.name!r} declares on_failure="
-                "'skip_with_fallback' but provides no fallback callable"
-            )
 
     def run(self, ctx: StageContext, inputs: Dict[str, Any]) -> Any:
         missing = [name for name in self.requires if name not in inputs]
@@ -138,12 +111,3 @@ class Stage:
                 f"stage {self.name!r} is missing inputs {missing}"
             )
         return self.fn(ctx, **{name: inputs[name] for name in self.requires})
-
-    def run_fallback(self, ctx: StageContext, inputs: Dict[str, Any]) -> Any:
-        if self.fallback is None:
-            raise OrchestrationError(
-                f"stage {self.name!r} has no fallback to run"
-            )
-        return self.fallback(
-            ctx, **{name: inputs[name] for name in self.requires}
-        )

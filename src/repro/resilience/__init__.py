@@ -10,8 +10,8 @@ behaviour under those faults explicit and testable:
     that corrupt sample streams, feature maps, and checkpoint files
     deterministically.
 ``repro.resilience.guards``
-    Runtime screens: NaN/Inf feature screening, signal-quality gating,
-    and checkpoint integrity verification (checksum + graph validator).
+    Runtime screens: NaN/Inf feature screening and checkpoint integrity
+    verification (checksum + graph validator).
 ``repro.resilience.degradation``
     The explicit :class:`DegradationPolicy` (impute / fall back /
     abstain) and the :class:`HealthStatus` attached to every decision.
@@ -28,10 +28,8 @@ from ..errors import (
     CheckpointError,
     ExecutorError,
     FederatedRoundError,
-    FeatureGuardError,
     ResilienceError,
     RetryError,
-    SignalQualityError,
 )
 from .degradation import (
     ABSTAINED,
@@ -69,7 +67,6 @@ from .guards import (
     CheckpointVerification,
     FeatureScreenReport,
     impute_features,
-    quality_gate,
     screen_features,
     verify_checkpoint,
 )
@@ -79,8 +76,6 @@ __all__ = [
     # errors
     "ResilienceError",
     "CheckpointError",
-    "SignalQualityError",
-    "FeatureGuardError",
     "RetryError",
     "FederatedRoundError",
     "ExecutorError",
@@ -106,7 +101,6 @@ __all__ = [
     "CheckpointVerification",
     "screen_features",
     "impute_features",
-    "quality_gate",
     "verify_checkpoint",
     # degradation
     "HEALTHY",

@@ -30,7 +30,6 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SignalQualityError
 from ..nn.activations import softmax
 from ..signals.bvp import NUM_BVP_FEATURES
 from ..signals.feature_map import FeatureNormalizer
@@ -84,9 +83,6 @@ class DegradationPolicy:
         Cold-start assignment margin below which the cluster checkpoint
         is not trusted and the population-average fallback is used
         (0 disables the check).
-    strict:
-        Raise :class:`~repro.errors.SignalQualityError` on abstention
-        instead of holding the last decision.
     """
 
     min_quality: float = 0.5
@@ -94,7 +90,6 @@ class DegradationPolicy:
     max_gated_fraction: float = 0.5
     gated_window_memory: int = 8
     min_assignment_margin: float = 0.0
-    strict: bool = False
 
     def __post_init__(self) -> None:
         if self.impute not in IMPUTE_STRATEGIES:
@@ -281,17 +276,8 @@ class DegradationController:
             return False
         return self.gated_recent_fraction > self.policy.max_gated_fraction
 
-    def abstain(self, reasons: Sequence[str]) -> Tuple[int, np.ndarray]:
-        """Hold the last decision (or emit the uninformative prior).
-
-        In strict mode this raises instead — the caller wants a typed
-        error, not a held decision.
-        """
-        if self.policy.strict:
-            raise SignalQualityError(
-                "abstaining under strict degradation policy: "
-                + "; ".join(reasons)
-            )
+    def abstain(self) -> Tuple[int, np.ndarray]:
+        """Hold the last decision (or emit the uninformative prior)."""
         if self.last_prediction is not None:
             return self.last_prediction, self.last_probabilities.copy()
         return 0, np.array([0.5, 0.5])

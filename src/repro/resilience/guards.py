@@ -1,13 +1,14 @@
 """Runtime screens between raw faults and the classifier.
 
-Three guards, one per surface the faults in :mod:`.faults` attack:
+Two guards, for the feature and checkpoint surfaces the faults in
+:mod:`.faults` attack (signal windows are gated by
+:func:`repro.signals.quality.quality_report`):
 
 * :func:`screen_features` — NaN/Inf detection on feature vectors (the
-  last line of defense before the CNN-LSTM sees a number).
-* :func:`quality_gate` — per-window signal-quality gating built on the
-  indices in :mod:`repro.signals.quality`.
+  last line of defense before the CNN-LSTM sees a number).  It reports;
+  the caller imputes (:func:`impute_features`).
 * :func:`verify_checkpoint` — checkpoint integrity: checksum (stored in
-  the ``.npz`` by :func:`repro.nn.checkpoint.save_model`) plus the PR-1
+  the ``.npz`` by :func:`repro.nn.checkpoint.save_model`) plus the
   static graph validator over the decoded architecture.
 """
 
@@ -15,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import CheckpointError, FeatureGuardError, SignalQualityError
-from ..signals.quality import AggregateQualityReport, quality_report
+from ..errors import CheckpointError
 
 
 @dataclass
@@ -36,28 +36,15 @@ class FeatureScreenReport:
         return len(self.bad_indices) / self.size if self.size else 0.0
 
 
-def screen_features(
-    vector: np.ndarray, strict: bool = False
-) -> FeatureScreenReport:
-    """Locate non-finite entries in a feature vector.
-
-    With ``strict=True`` a dirty vector raises
-    :class:`~repro.errors.FeatureGuardError` instead of reporting.
-    """
+def screen_features(vector: np.ndarray) -> FeatureScreenReport:
+    """Locate non-finite entries in a feature vector."""
     vector = np.asarray(vector, dtype=np.float64).ravel()
     bad = np.flatnonzero(~np.isfinite(vector))
-    report = FeatureScreenReport(
+    return FeatureScreenReport(
         finite=bad.size == 0,
         bad_indices=tuple(int(i) for i in bad),
         size=int(vector.size),
     )
-    if strict and not report.finite:
-        raise FeatureGuardError(
-            f"feature vector has {bad.size} non-finite entr"
-            f"{'y' if bad.size == 1 else 'ies'} at indices "
-            f"{report.bad_indices[:8]}{'…' if bad.size > 8 else ''}"
-        )
-    return report
 
 
 def impute_features(
@@ -89,29 +76,6 @@ def impute_features(
         replacement = np.full(idx.size, fill)
     out[idx] = replacement
     return out
-
-
-def quality_gate(
-    window_dict: Mapping[str, np.ndarray],
-    fs: Union[Mapping[str, float], float],
-    min_overall: float = 0.5,
-    strict: bool = False,
-) -> AggregateQualityReport:
-    """Gate one multi-channel window on its signal-quality indices.
-
-    Thin wrapper over :func:`repro.signals.quality.quality_report` that
-    adds the strict mode: a rejected window raises
-    :class:`~repro.errors.SignalQualityError` naming the failing
-    channels instead of returning a report.
-    """
-    report = quality_report(window_dict, fs, min_overall=min_overall)
-    if strict and not report.accept:
-        raise SignalQualityError(
-            f"window rejected by quality gate: failing={list(report.failing)} "
-            f"skewed={list(report.skewed)} overall={report.overall:.2f} "
-            f"(threshold {min_overall})"
-        )
-    return report
 
 
 @dataclass

@@ -11,7 +11,8 @@ The repo's horizontal-scaling layer.  Two primitives:
 * :class:`ContentCache` — SHA-256 content-addressed on-disk cache for
   extracted feature maps and trained fold checkpoints, with typed
   :class:`~repro.errors.CacheError` failures and hit/miss counters
-  surfaced on results objects via :class:`RuntimeStats`.
+  attributed to each pipeline stage's
+  :class:`~repro.orchestration.provenance.Provenance`.
 
 Lint rule RPR008 keeps all ``multiprocessing`` / ``concurrent.futures``
 imports inside this package, so every fan-out in the codebase is
@@ -28,7 +29,6 @@ from .cache import (
 from .executor import (
     Executor,
     ParallelExecutor,
-    RuntimeStats,
     SerialExecutor,
     make_executor,
     resolve_mp_context,
@@ -42,7 +42,6 @@ __all__ = [
     "make_executor",
     "resolve_mp_context",
     "spawn_seeds",
-    "RuntimeStats",
     "ContentCache",
     "CacheStats",
     "content_key",

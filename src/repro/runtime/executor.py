@@ -24,7 +24,6 @@ function) and lets the executor decide where it runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, TypeVar
 
 import numpy as np
@@ -76,44 +75,6 @@ def spawn_seeds(
     if n < 0:
         raise ValueError(f"cannot spawn {n} seeds")
     return np.random.SeedSequence(seed).spawn(n)
-
-
-@dataclass
-class RuntimeStats:
-    """How a fanned-out computation actually ran.
-
-    Surfaced on results objects (validation results, generated
-    datasets) so experiments can report executor shape and cache
-    effectiveness next to accuracy numbers.
-    """
-
-    executor: str = "serial"
-    workers: int = 1
-    units: int = 0
-    wall_time_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def merge_counts(self, hits: int, misses: int) -> None:
-        """Fold a work unit's cache counters into the aggregate."""
-        self.cache_hits += int(hits)
-        self.cache_misses += int(misses)
-
-    def as_dict(self) -> dict:
-        return {
-            "executor": self.executor,
-            "workers": self.workers,
-            "units": self.units,
-            "wall_time_s": self.wall_time_s,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-        }
 
 
 class Executor:

@@ -8,8 +8,8 @@ checkpoints:
 * :mod:`registry` — warm LRU-bounded model pool backed by the
   content-addressed serving cache; models load once per group and
   rehydrate transparently after eviction.
-* :mod:`sessions` — per-user session state (rolling map, smoothing,
-  personalization status) sharded by a deterministic user hash.
+* :mod:`sessions` — per-user session state (smoothing, reorder buffer,
+  personalization status).
 * :mod:`batching` — the micro-batcher: coalesces concurrent
   same-group requests into single ``predict_many`` calls on canonical
   fixed-row slabs, so batched results are **bit-identical** to
@@ -36,7 +36,7 @@ from .admission import (
 from .batching import BatchPolicy, MicroBatcher, PendingRequest
 from .registry import ClusterModelRegistry, RegistryStats, WarmModelPool
 from .service import InferenceService, ServingResult, results_fingerprint
-from .sessions import ShardedSessions, UserSession
+from .sessions import UserSession
 from .loadgen import LoadReport, LoadScenario, run_load, scenario_events
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "InferenceService",
     "ServingResult",
     "results_fingerprint",
-    "ShardedSessions",
     "UserSession",
     "LoadScenario",
     "LoadReport",

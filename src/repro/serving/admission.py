@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..errors import AdmissionError
 
 #: Admission decisions, from best to worst.
 ACCEPT = "accept"
@@ -41,22 +40,16 @@ class AdmissionPolicy:
     hard_limit:
         Depth at which new requests are rejected outright
         (:class:`~repro.errors.AdmissionError`).
-    max_sessions:
-        Optional cap on concurrently connected users; ``connect`` past
-        it raises :class:`~repro.errors.AdmissionError`.
     """
 
     max_pending: int = 256
     hard_limit: int = 1024
-    max_sessions: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if self.hard_limit < self.max_pending:
             raise ValueError("hard_limit must be >= max_pending")
-        if self.max_sessions is not None and self.max_sessions < 1:
-            raise ValueError("max_sessions must be >= 1 when set")
 
 
 class AdmissionController:
@@ -78,17 +71,6 @@ class AdmissionController:
             return SHED
         self.accepted += 1
         return ACCEPT
-
-    def admit_session(self, current_sessions: int) -> None:
-        """Gate a new connection against ``max_sessions`` (typed reject)."""
-        limit = self.policy.max_sessions
-        if limit is not None and current_sessions >= limit:
-            raise AdmissionError(
-                f"session limit reached: {current_sessions} connected, "
-                f"policy allows {limit}",
-                queue_depth=current_sessions,
-                limit=limit,
-            )
 
     @property
     def total(self) -> int:

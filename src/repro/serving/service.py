@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.pipeline import CLEARSystem
 from ..core.trainer import TrainedModel
-from ..errors import AdmissionError
+from ..errors import AdmissionError, ServingError
 from ..resilience.degradation import (
     DEGRADED,
     HEALTHY,
@@ -40,7 +40,7 @@ from ..signals.feature_map import FeatureMap
 from .admission import REJECT, SHED, AdmissionController, AdmissionPolicy
 from .batching import BatchPolicy, BucketKey, MicroBatcher, PendingRequest
 from .registry import ClusterModelRegistry, GroupKey
-from .sessions import ShardedSessions, UserSession
+from .sessions import UserSession
 
 POPULATION_GROUP: GroupKey = ("population",)
 
@@ -110,10 +110,9 @@ class InferenceService:
         are virtual and deterministic.
     cache_dir:
         Optional runtime-cache root; enables warm-pool eviction of
-        registered models into the serving cache namespace.
-    registry_capacity:
-        Warm-pool size.  Defaults to all cluster models plus a margin
-        for personalized checkpoints.
+        registered models into the serving cache namespace.  The warm
+        pool holds every cluster model plus eight personalized
+        checkpoints.
     sequential:
         Force ``max_batch=1``: every request runs in its own flush on
         the same canonical slabs.  This is the bit-identity reference
@@ -131,10 +130,7 @@ class InferenceService:
         batch_policy: Optional[BatchPolicy] = None,
         admission: Optional[AdmissionPolicy] = None,
         clock: Optional[Clock] = None,
-        registry: Optional[ClusterModelRegistry] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        registry_capacity: Optional[int] = None,
-        num_shards: int = 8,
         smoothing: int = 3,
         sequential: bool = False,
         wall_timer: Optional[Callable[[], float]] = None,
@@ -147,21 +143,17 @@ class InferenceService:
         self.sequential = bool(sequential)
         self.batcher = MicroBatcher(policy, self.clock)
         self.admission = AdmissionController(admission)
-        self.sessions = ShardedSessions(num_shards)
+        self.sessions: Dict[int, UserSession] = {}
         self.smoothing = int(smoothing)
         self.wall_timer = wall_timer
-        if registry is None:
-            if registry_capacity is None:
-                registry_capacity = len(system.cluster_models) + 8
-            registry = ClusterModelRegistry(
-                cache_dir=cache_dir, capacity=registry_capacity
+        self.registry = ClusterModelRegistry(
+            cache_dir=cache_dir, capacity=len(system.cluster_models) + 8
+        )
+        for cluster in sorted(system.cluster_models):
+            self.registry.register(
+                ("cluster", cluster), system.cluster_models[cluster]
             )
-            for cluster in sorted(system.cluster_models):
-                registry.register(
-                    ("cluster", cluster), system.cluster_models[cluster]
-                )
-            registry.set_population(system.population_model())
-        self.registry = registry
+        self.registry.set_population(system.population_model())
         self.results: List[ServingResult] = []
         self.personalizations = 0
 
@@ -170,7 +162,9 @@ class InferenceService:
         self, user_id: int, cold_maps: Sequence[FeatureMap]
     ) -> UserSession:
         """Cold-start a new user: assign a cluster, open a session."""
-        self.admission.admit_session(len(self.sessions))
+        user_id = int(user_id)
+        if user_id in self.sessions:
+            raise ServingError(f"user {user_id} is already connected")
         assignment = self.system.assign_new_user(cold_maps)
         session = UserSession(
             user_id=user_id,
@@ -178,7 +172,7 @@ class InferenceService:
             margin=assignment.margin(),
             smoothing=self.smoothing,
         )
-        self.sessions.add(session)
+        self.sessions[user_id] = session
         return session
 
     def personalize(
@@ -195,7 +189,7 @@ class InferenceService:
         keeping the decision stream independent of flush timing.
         """
         self.drain()
-        session = self.sessions.get(user_id)
+        session = self._session(user_id)
         if seed is None:
             seed = self.system.config.seed + int(user_id)
         tuned = self.system.personalize(
@@ -215,7 +209,7 @@ class InferenceService:
         its HealthStatus); past the hard limit raises
         :class:`~repro.errors.AdmissionError`.
         """
-        session = self.sessions.get(user_id)
+        session = self._session(user_id)
         depth = self.batcher.depth()
         decision = self.admission.admit(depth)
         if decision == REJECT:
@@ -256,6 +250,14 @@ class InferenceService:
         return released
 
     # -- internals ---------------------------------------------------------
+    def _session(self, user_id: int) -> UserSession:
+        session = self.sessions.get(int(user_id))
+        if session is None:
+            raise ServingError(
+                f"no session for user {user_id}; call connect() first"
+            )
+        return session
+
     def _model_for_group(self, group: GroupKey) -> TrainedModel:
         if tuple(group) == POPULATION_GROUP:
             return self.registry.population()
@@ -266,7 +268,7 @@ class InferenceService:
         flush = self.batcher.flush(key, self._model_for_group(group))
         touched: List[UserSession] = []
         for request, logits in flush.completed:
-            session = self.sessions.get(request.user_id)
+            session = self.sessions[request.user_id]
             session.hold(
                 request.request_index, (request, logits, flush.batch_size)
             )
@@ -335,5 +337,4 @@ class InferenceService:
             "mean_batch_size": float(np.mean(sizes)) if sizes else 0.0,
             "admission": self.admission.to_dict(),
             "registry": self.registry.stats.to_dict(),
-            "shard_sizes": self.sessions.shard_sizes(),
         }

@@ -1,19 +1,15 @@
-"""Per-user serving sessions, sharded by a deterministic user hash.
+"""Per-user serving sessions.
 
 A session is the server-side mirror of one wearable: which cluster the
 cold-start assignment picked (and with what confidence margin), whether
 the user has been personalized yet, and the temporal-smoothing vote
 that turns raw predictions into stable decisions.  Sessions see
 feature maps only; turning raw samples into maps is the edge
-detector's job (:mod:`repro.edge.streaming`).  Sessions are grouped
-into shards by a *seed-independent* SHA-256 hash of the user id, so
-any fleet node — or any rerun of a benchmark — places every user
-identically.
+detector's job (:mod:`repro.edge.streaming`).
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Tuple
 
 from ..errors import ServingError
@@ -90,62 +86,3 @@ class UserSession:
     def pending_results(self) -> int:
         return len(self._held)
 
-
-def shard_for(user_id: int, num_shards: int) -> int:
-    """Deterministic user-to-shard assignment.
-
-    SHA-256 rather than ``hash()``: python's string hash is randomized
-    per process (PYTHONHASHSEED), which would scatter users differently
-    on every run and break run-to-run comparability of shard metrics.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    digest = hashlib.sha256(str(int(user_id)).encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big") % int(num_shards)
-
-
-class ShardedSessions:
-    """All connected sessions, bucketed into deterministic shards."""
-
-    def __init__(self, num_shards: int = 8):
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self.num_shards = int(num_shards)
-        self._shards: List[Dict[int, UserSession]] = [
-            {} for _ in range(self.num_shards)
-        ]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, user_id: int) -> bool:
-        return int(user_id) in self._shards[shard_for(user_id, self.num_shards)]
-
-    def add(self, session: UserSession) -> int:
-        """Place a session; returns its shard.  Duplicate connect is typed."""
-        shard = shard_for(session.user_id, self.num_shards)
-        if session.user_id in self._shards[shard]:
-            raise ServingError(
-                f"user {session.user_id} is already connected"
-            )
-        self._shards[shard][session.user_id] = session
-        return shard
-
-    def get(self, user_id: int) -> UserSession:
-        shard = shard_for(user_id, self.num_shards)
-        session = self._shards[shard].get(int(user_id))
-        if session is None:
-            raise ServingError(
-                f"no session for user {user_id}; call connect() first"
-            )
-        return session
-
-    def shard_sizes(self) -> List[int]:
-        return [len(shard) for shard in self._shards]
-
-    def all_sessions(self) -> List[UserSession]:
-        """Every session, in (shard, user id) order — deterministic."""
-        out: List[UserSession] = []
-        for shard in self._shards:
-            out.extend(shard[uid] for uid in sorted(shard))
-        return out

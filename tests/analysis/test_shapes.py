@@ -129,15 +129,26 @@ class TestDtypePropagation:
         assert report.warnings == ()
         assert report.layers[0].output_dtype == "float64"
 
-    def test_float32_promotion_warns(self):
-        report = trace_layers([nn.ReLU(), nn.Dense(3)], (4,), dtype="float32")
-        # ReLU preserves the reduced precision; Dense promotes it.
-        assert report.layers[0].output_dtype == "float32"
+    def test_float16_cast_at_input_warns(self):
+        report = trace_layers([nn.ReLU(), nn.Dense(3)], (4,), dtype="float16")
+        # The model input casts float16 to float64; every layer keeps it.
+        assert report.input_dtype == "float16"
+        assert report.layers[0].input_dtype == "float64"
         assert report.layers[1].output_dtype == "float64"
         assert len(report.warnings) == 1
-        assert "promotes float32" in report.warnings[0]
+        assert "casts float16" in report.warnings[0]
 
     def test_float16_promotion_warns(self):
         report = trace_layers([nn.LSTM(4)], (5, 3), dtype="float16")
         assert report.layers[0].output_dtype == "float64"
         assert len(report.warnings) == 1
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "float16"])
+    def test_report_dtype_matches_predict(self, dtype):
+        from repro.analysis import validate_model
+        from repro.core.architecture import build_cnn_lstm
+
+        model = build_cnn_lstm((1, 20, 6))
+        report = validate_model(model, (1, 20, 6), dtype=dtype)
+        x = RNG.normal(size=(2, 1, 20, 6)).astype(dtype)
+        assert report.layers[-1].output_dtype == model.predict(x).dtype.name

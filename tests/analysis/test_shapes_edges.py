@@ -65,27 +65,27 @@ class TestMixedPrecisionPropagation:
         assert len(report.warnings) == 1
         assert "int8" in report.warnings[0]
 
-    def test_float16_survives_non_parametric_layers(self):
+    def test_float16_cast_once_at_the_model_input(self):
+        # The model casts its input to the backend's compute dtype, so no
+        # layer, parametric or not, ever sees float16.
         layers = [nn.Reshape((6, 2)), nn.Flatten(), nn.Dropout(0.1), nn.ReLU()]
         report = trace_layers(layers, (12,), dtype="float16")
-        assert all(rep.output_dtype == "float16" for rep in report.layers)
+        assert all(rep.input_dtype == "float64" for rep in report.layers)
+        assert all(rep.output_dtype == "float64" for rep in report.layers)
+        (warning,) = report.warnings
+        assert "model input casts float16" in warning
+
+    def test_float32_survives_parametric_layers(self):
+        layers = [nn.Reshape((6, 2)), nn.TemporalAttention(4), nn.Dense(3)]
+        report = trace_layers(layers, (12,), dtype="float32")
+        assert all(rep.output_dtype == "float32" for rep in report.layers)
         assert report.warnings == ()
 
-    def test_attention_promotes_float16_naming_the_layer(self):
-        layers = [nn.Reshape((6, 2)), nn.TemporalAttention(4)]
-        report = trace_layers(layers, (12,), dtype="float16")
-        assert report.layers[0].output_dtype == "float16"
-        assert report.layers[1].output_dtype == "float64"
-        (warning,) = report.warnings
-        assert "TemporalAttention" in warning and "float16" in warning
-
     def test_promotion_warned_once_per_chain_not_per_layer(self):
-        # After the first parametric layer promotes to float64, later
-        # parametric layers see float64 in == float64 out: no new noise.
         layers = [nn.Dense(8), nn.ReLU(), nn.Dense(4)]
-        report = trace_layers(layers, (16,), dtype="float32")
+        report = trace_layers(layers, (16,), dtype="float16")
         assert len(report.warnings) == 1
-        assert "layer 0" in report.warnings[0]
+        assert "model input" in report.warnings[0]
 
     def test_redowncast_after_promotion_warns_again(self):
         # A deliberate mid-stack downcast (quantized edge deployment)
@@ -96,12 +96,14 @@ class TestMixedPrecisionPropagation:
         assert len(again.warnings) == 1
 
     def test_mixed_precision_report_records_both_dtypes_per_layer(self):
-        report = trace_layers([nn.Reshape((2, 2)), nn.LSTM(3)], (4,), dtype="float32")
+        # The report keeps the caller's input dtype next to the dtype
+        # each layer computes in.
+        report = trace_layers([nn.Reshape((2, 2)), nn.LSTM(3)], (4,), dtype="float16")
         lstm = report.layers[1]
-        assert (lstm.input_dtype, lstm.output_dtype) == ("float32", "float64")
+        assert (lstm.input_dtype, lstm.output_dtype) == ("float64", "float64")
         as_dict = report.to_dict()
-        assert as_dict["layers"][1]["input_dtype"] == "float32"
-        assert as_dict["layers"][1]["output_dtype"] == "float64"
+        assert as_dict["input_dtype"] == "float16"
+        assert as_dict["layers"][1]["input_dtype"] == "float64"
 
     def test_float64_chain_stays_silent(self):
         layers = [nn.Dense(8), nn.Reshape((2, 4)), nn.TemporalAttention(4)]

@@ -93,12 +93,15 @@ class TestSaveLoad:
     def test_manifest_recording_a_backend_loads(self, system, tiny_dataset, tmp_path):
         import json
 
-        # Manifests written before the backend fold carry the model's
-        # compute backend in the config; loading ignores it.
+        # Older manifests carry the model's compute backend and a
+        # training validation fraction in the config; loading ignores
+        # both.
         out = save_system(system, tmp_path / "deploy")
         manifest = json.loads((out / "manifest.json").read_text())
         assert "backend" not in manifest["config"]["model"]
+        assert "validation_fraction" not in manifest["config"]["training"]
         manifest["config"]["model"]["backend"] = "reference"
+        manifest["config"]["training"]["validation_fraction"] = 0.2
         (out / "manifest.json").write_text(json.dumps(manifest))
         restored = load_system(out)
         assert restored.config == FAST_CFG

@@ -68,12 +68,6 @@ class TestTrainOnMaps:
         b = train_on_maps(maps, SMALL_MODEL, FAST, seed=9)
         np.testing.assert_array_equal(a.predict_classes(maps), b.predict_classes(maps))
 
-    def test_validation_split_used(self, rng):
-        maps = make_separable_maps(rng, n=30)
-        cfg = TrainingConfig(epochs=5, batch_size=8, validation_fraction=0.2)
-        trained = train_on_maps(maps, SMALL_MODEL, cfg, seed=0)
-        assert "val_loss" in trained.model.history.epochs[0]
-
 
 class TestFineTune:
     def test_base_model_untouched(self, rng):

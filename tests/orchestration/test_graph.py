@@ -170,31 +170,11 @@ class TestExecution:
         assert seen["executor"] is executor
         assert seen["cache_dir"] == "/tmp/c"
 
-    def test_screen_output_rejects_non_finite(self):
-        graph = PipelineGraph(
-            "g",
-            [
-                Stage(
-                    "bad",
-                    _const(np.array([1.0, np.nan])),
-                    screen_output=True,
-                )
-            ],
-        )
-        with pytest.raises(OrchestrationError, match="non-finite"):
-            graph.run()
-
-    def test_screen_output_passes_finite(self):
-        graph = PipelineGraph(
-            "g", [Stage("ok", _const(np.ones(3)), screen_output=True)]
-        )
-        assert graph.run().value("ok").sum() == 3.0
-
     def test_run_contains_and_wall_time(self):
         run = PipelineGraph("g", [Stage("a", _const(0))]).run()
         assert "a" in run
         assert "zzz" not in run
-        assert run.wall_time_s("a") >= 0.0
+        assert run.provenance("a").wall_time_s >= 0.0
         assert run["a"].name == "a"
 
 
@@ -222,13 +202,14 @@ class TestFoldPlan:
             executor=ParallelExecutor(2),
         )
         assert serial.results == parallel.results
-        assert parallel.stats.executor == "parallel"
+        assert parallel.provenance.executor == "parallel"
 
     def test_cache_counts_merged_into_stats(self):
         plan = run_fold_plan(
             "sq", [2, 5], _square, cache_counts=lambda r: (1, r % 2)
         )
-        assert plan.stats.cache_hits == 2
-        assert plan.stats.cache_misses == 1
-        assert plan.stats.units == 2
+        assert plan.provenance.cache_hits == 2
+        assert plan.provenance.cache_misses == 1
+        assert plan.provenance.cache_hit_rate == pytest.approx(2 / 3)
+        assert plan.provenance.units == 2
         assert plan.provenance.stage == "sq"

@@ -8,16 +8,13 @@ import pytest
 from repro.errors import JournalError
 from repro.orchestration import (
     Artifact,
-    GraphRun,
     PipelineGraph,
-    PipelineRun,
     Provenance,
     RunJournal,
     Stage,
     resolve_journal,
     run_key,
 )
-from repro.resilience.degradation import FALLBACK, HEALTHY
 
 
 def _artifact(name="x", value=42, stage="s"):
@@ -187,13 +184,14 @@ class TestGraphResume:
             e["digest"] for e in run2.lineage()
         ]
 
-    def test_resumed_stage_health_says_so(self, tmp_path):
+    def test_resumed_stage_provenance_says_so(self, tmp_path):
         journal = tmp_path / "j.json"
-        _graph()[0].run(seed=3, journal=journal)
+        first = _graph()[0].run(seed=3, journal=journal)
         run = _graph()[0].run(seed=3, journal=journal)
-        assert all(run.health[s].state == HEALTHY for s in ("a", "b", "c"))
-        assert any("resumed" in r for r in run.health["a"].reasons)
-        assert run.provenance("a").resumed_from == str(journal)
+        assert first.resumed_stages == []
+        assert all(first.provenance(s).resumed_from is None for s in "abc")
+        assert run.resumed_stages == ["a", "b", "c"]
+        assert all(run.provenance(s).resumed_from == str(journal) for s in "abc")
 
     def test_corrupt_payload_reruns_only_that_stage(self, tmp_path):
         journal_path = tmp_path / "j.json"
@@ -221,87 +219,18 @@ class TestGraphResume:
         run = graph.run(seed=3)
         assert run.value("c") == 30
         assert run.resumed_stages == []
-        assert run.ok
 
 
-class TestOnFailure:
-    def _degrading_graph(self):
-        def s_a(ctx):
-            return 10
-
+class TestStageFailure:
+    def test_raising_stage_aborts_the_run(self, tmp_path):
         def boom(ctx, a):
-            raise RuntimeError("primary path broke")
-
-        def s_c(ctx, b):
-            return b * 2
-
-        return PipelineGraph(
-            "deg",
-            [
-                Stage("a", s_a),
-                Stage(
-                    "b",
-                    boom,
-                    requires=("a",),
-                    on_failure="skip_with_fallback",
-                    fallback=lambda ctx, a: -a,
-                ),
-                Stage("c", s_c, requires=("b",)),
-            ],
-        )
-
-    def test_fallback_keeps_the_run_alive(self):
-        run = self._degrading_graph().run(seed=0)
-        assert run.value("b") == -10
-        assert run.value("c") == -20
-        assert not run.ok
-        assert "primary path broke" in run.failed_stages["b"]
-        assert run.health["b"].state == FALLBACK
-        assert run.health["b"].used_fallback_model
-
-    def test_failure_manifest_is_serializable(self):
-        run = self._degrading_graph().run(seed=0)
-        manifest = run.failure_manifest()
-        json.dumps(manifest)
-        assert "b" in manifest["failed_stages"]
-        assert manifest["health"]["b"]["state"] == FALLBACK
-
-    def test_default_on_failure_still_raises(self):
-        def boom(ctx):
             raise RuntimeError("nope")
 
-        graph = PipelineGraph("strict", [Stage("s", boom)])
-        with pytest.raises(RuntimeError, match="nope"):
-            graph.run()
-
-    def test_fallback_result_is_never_journaled(self, tmp_path):
         journal = tmp_path / "j.json"
-        self._degrading_graph().run(seed=0, journal=journal)
-        entries = json.loads(journal.read_text())["entries"]
-        assert [e["stage"] for e in entries] == ["a", "c"]  # not "b"
-
-    def test_invalid_on_failure_rejected(self):
-        from repro.errors import OrchestrationError
-
-        with pytest.raises(OrchestrationError, match="on_failure"):
-            Stage("s", lambda ctx: 0, on_failure="explode")
-
-    def test_fallback_required_when_skipping(self):
-        from repro.errors import OrchestrationError
-
-        with pytest.raises(OrchestrationError, match="fallback"):
-            Stage("s", lambda ctx: 0, on_failure="skip_with_fallback")
-
-
-class TestAliases:
-    def test_graph_run_is_pipeline_run(self):
-        assert GraphRun is PipelineRun
-
-    def test_run_defaults(self):
-        run = PipelineRun()
-        assert run.ok
-        assert run.failure_manifest() == {
-            "failed_stages": {},
-            "health": {},
-            "resumed_stages": [],
-        }
+        graph = PipelineGraph(
+            "aborts", [Stage("a", lambda ctx: 10), Stage("b", boom, requires=("a",))]
+        )
+        with pytest.raises(RuntimeError, match="nope"):
+            graph.run(journal=journal)
+        # Only the stage that completed is journaled; a resume re-runs "b".
+        assert RunJournal(journal).completed_stages() == ["a"]

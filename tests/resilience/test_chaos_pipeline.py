@@ -183,26 +183,6 @@ class TestDegradedStreaming:
         held = [d for d in detector.detections if d.health.held_last_decision]
         assert held and all(np.isfinite(d.probabilities).all() for d in held)
 
-    def test_strict_policy_raises_typed_error(self, stream_model):
-        model, profile = stream_model
-        plan = get_fault_plan("multi_channel_dropout")
-        fault_rng = plan.rng()
-        stream = StreamingFeatureExtractor(RATES, window_seconds=WINDOW_SECONDS)
-        detector = OnlineDetector(
-            model,
-            windows_per_map=2,
-            streaming=stream,
-            policy=DegradationPolicy(
-                strict=True, max_gated_fraction=0.0, gated_window_memory=2
-            ),
-        )
-        with pytest.raises(ResilienceError):
-            for chunk in make_stream_chunks(
-                profile, FEAR, 64.0, np.random.default_rng(97)
-            ):
-                corrupted = plan.apply_to_signals(chunk, FS, rng=fault_rng)
-                detector.push(**corrupted)
-
 
 class TestColdStartFallback:
     def test_low_margin_uses_population_model(self, clear_system, tiny_dataset):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.errors import SignalQualityError
 from repro.resilience.degradation import (
     ABSTAINED,
     DEGRADED,
@@ -24,7 +23,7 @@ from repro.signals.features import ALL_FEATURE_NAMES
 class TestPolicy:
     def test_defaults_valid(self):
         policy = DegradationPolicy()
-        assert policy.impute == "mean" and not policy.strict
+        assert policy.impute == "mean" and policy.min_assignment_margin == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -140,19 +139,14 @@ class TestController:
     def test_abstain_holds_last_decision(self):
         ctrl = DegradationController(DegradationPolicy())
         ctrl.commit(1, np.array([0.2, 0.8]))
-        pred, probs = ctrl.abstain(["test"])
+        pred, probs = ctrl.abstain()
         assert pred == 1
         np.testing.assert_array_equal(probs, [0.2, 0.8])
 
     def test_abstain_without_history_emits_prior(self):
-        pred, probs = DegradationController(DegradationPolicy()).abstain(["x"])
+        pred, probs = DegradationController(DegradationPolicy()).abstain()
         assert pred == 0
         np.testing.assert_array_equal(probs, [0.5, 0.5])
-
-    def test_strict_abstention_raises(self):
-        ctrl = DegradationController(DegradationPolicy(strict=True))
-        with pytest.raises(SignalQualityError, match="strict"):
-            ctrl.abstain(["gsr died"])
 
     def test_reset_clears_everything(self):
         ctrl = DegradationController(DegradationPolicy())

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.errors import (
-    CheckpointError,
-    FeatureGuardError,
-    SignalQualityError,
-)
+from repro.errors import CheckpointError
 from repro.resilience.guards import (
     CheckpointVerification,
     impute_features,
-    quality_gate,
     screen_features,
     verify_checkpoint,
 )
+from repro.signals.quality import quality_report
 
 from .conftest import FS
 
@@ -32,10 +28,6 @@ class TestScreenFeatures:
         assert not report.finite
         assert report.bad_indices == (1, 3, 4)
         assert report.bad_fraction == pytest.approx(0.6)
-
-    def test_strict_raises_typed_error(self):
-        with pytest.raises(FeatureGuardError, match="non-finite"):
-            screen_features(np.array([1.0, np.nan]), strict=True)
 
 
 class TestImputeFeatures:
@@ -80,15 +72,11 @@ class TestQualityGate:
         return window
 
     def test_clean_window_accepted(self):
-        assert quality_gate(self._window(), FS).accept
+        assert quality_report(self._window(), FS).accept
 
     def test_dead_channel_rejected(self):
-        report = quality_gate(self._window(dead_gsr=True), FS)
+        report = quality_report(self._window(dead_gsr=True), FS)
         assert not report.accept and "gsr" in report.failing
-
-    def test_strict_raises_naming_channels(self):
-        with pytest.raises(SignalQualityError, match="gsr"):
-            quality_gate(self._window(dead_gsr=True), FS, strict=True)
 
 
 class TestVerifyCheckpoint:

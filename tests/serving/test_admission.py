@@ -1,8 +1,7 @@
-"""Admission control: thresholds, counters, typed rejections."""
+"""Admission control: thresholds and outcome counters."""
 
 import pytest
 
-from repro.errors import AdmissionError, ServingError
 from repro.serving import (
     ACCEPT,
     REJECT,
@@ -18,7 +17,6 @@ class TestPolicy:
         [
             ({"max_pending": 0}, "max_pending"),
             ({"max_pending": 10, "hard_limit": 5}, "hard_limit"),
-            ({"max_sessions": 0}, "max_sessions"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -47,16 +45,3 @@ class TestController:
         assert ctrl.reject_rate == pytest.approx(0.5)
         report = ctrl.to_dict()
         assert report["accepted"] == 1 and report["rejected"] == 2
-
-    def test_session_limit_typed_with_fields(self):
-        ctrl = AdmissionController(AdmissionPolicy(max_sessions=3))
-        ctrl.admit_session(2)  # below limit: fine
-        with pytest.raises(AdmissionError) as exc_info:
-            ctrl.admit_session(3)
-        assert exc_info.value.queue_depth == 3
-        assert exc_info.value.limit == 3
-        # AdmissionError sits in the typed serving hierarchy.
-        assert isinstance(exc_info.value, ServingError)
-
-    def test_unlimited_sessions_by_default(self):
-        AdmissionController().admit_session(10**6)

@@ -1,66 +1,34 @@
-"""Sessions: deterministic sharding, smoothing, reorder-buffer ordering."""
+"""Sessions: the service's session table, smoothing, reorder-buffer ordering."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ServingError
-from repro.serving import ShardedSessions, UserSession
-from repro.serving.sessions import shard_for
+from repro.resilience.retry import FakeClock
+from repro.serving import InferenceService, UserSession
 
 
 def _session(user_id=1, cluster=0, **kwargs):
     return UserSession(user_id=user_id, cluster=cluster, margin=0.5, **kwargs)
 
 
-class TestShardFor:
-    def test_deterministic_and_seed_independent(self):
-        # SHA-256, not hash(): the assignment must not move with
-        # PYTHONHASHSEED.  Pin a few values outright.
-        assert [shard_for(uid, 8) for uid in (0, 1, 2, 1000)] == [
-            shard_for(uid, 8) for uid in (0, 1, 2, 1000)
-        ]
-        assert shard_for(0, 1) == 0
-
-    def test_reasonable_spread(self):
-        counts = np.bincount(
-            [shard_for(uid, 8) for uid in range(4000)], minlength=8
-        )
-        assert counts.min() > 0
-        assert counts.max() / counts.min() < 1.5
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            shard_for(1, 0)
-
-
 class TestShardedSessions:
-    def test_add_get_roundtrip(self):
-        sessions = ShardedSessions(num_shards=4)
-        s = _session(user_id=7)
-        shard = sessions.add(s)
-        assert sessions.get(7) is s
-        assert 7 in sessions
-        assert sessions.shard_sizes()[shard] == 1
-        assert len(sessions) == 1
+    """The session table: one session per user id, held by the service."""
 
-    def test_duplicate_connect_typed(self):
-        sessions = ShardedSessions()
-        sessions.add(_session(user_id=3))
+    def test_duplicate_connect_typed(self, serving_system, some_maps):
+        svc = InferenceService(serving_system, clock=FakeClock())
+        first = svc.connect(3, some_maps[:2])
+        # The id is normalised to int, so a numpy id names the same user.
         with pytest.raises(ServingError, match="already connected"):
-            sessions.add(_session(user_id=3))
+            svc.connect(np.int64(3), some_maps[:2])
+        assert svc.sessions == {3: first}
 
-    def test_unknown_user_typed(self):
-        sessions = ShardedSessions()
+    def test_unknown_user_typed(self, serving_system, some_maps):
+        svc = InferenceService(serving_system, clock=FakeClock())
+        svc.connect(3, some_maps[:2])
         with pytest.raises(ServingError, match="no session for user 9"):
-            sessions.get(9)
-
-    def test_all_sessions_deterministic_order(self):
-        sessions = ShardedSessions(num_shards=4)
-        for uid in (5, 1, 9, 2):
-            sessions.add(_session(user_id=uid))
-        order = [s.user_id for s in sessions.all_sessions()]
-        assert sorted(order) == [1, 2, 5, 9]
-        assert order == [s.user_id for s in sessions.all_sessions()]
+            svc.submit(9, some_maps[0])
+        assert list(svc.sessions) == [3]
 
 
 class TestUserSession:

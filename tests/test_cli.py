@@ -173,10 +173,10 @@ class TestCheckModel:
 
     def test_reduced_precision_input_warns(self, capsys):
         code = main(
-            ["check-model", "--input-shape", "1,8,20", "--dtype", "float32"]
+            ["check-model", "--input-shape", "1,8,20", "--dtype", "float16"]
         )
         assert code == 0
-        assert "promotes float32" in capsys.readouterr().out
+        assert "casts float16" in capsys.readouterr().out
 
     def test_checkpoint_validation(self, tmp_path, capsys):
         from repro.core.architecture import build_cnn_lstm
