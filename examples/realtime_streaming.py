@@ -55,7 +55,7 @@ def main() -> None:
     model = train_personal_model(profile, rng)
 
     stream = StreamingFeatureExtractor(RATES, window_seconds=WINDOW_S)
-    detector = OnlineDetector(model, windows_per_map=4, streaming=stream, smoothing=3)
+    detector = OnlineDetector(model, windows_per_map=4, streaming=stream)
 
     # Simulate a session: 48 s neutral, 48 s fear, 48 s neutral.
     sim = PhysiologicalSimulator(FS_BVP, FS_SLOW, FS_SLOW)
@@ -94,7 +94,6 @@ def degraded_mode_demo(model, profile, rng) -> None:
         model,
         windows_per_map=4,
         streaming=stream,
-        smoothing=3,
         policy=DegradationPolicy(min_quality=0.5, impute="mean"),
     )
 

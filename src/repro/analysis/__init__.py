@@ -1,27 +1,22 @@
 """Static analysis for the CLEAR reproduction.
 
-Three tiers:
+Two parts:
 
 ``repro.analysis.shapes`` / ``repro.analysis.graph``
     Symbolic shape + dtype inference over layer stacks and architecture
     configs — rejects mis-shaped models before any forward pass runs
     (``Sequential.validate``, ``repro check-model``, and the pre-flight
     hooks in :mod:`repro.core.trainer` / :mod:`repro.core.pipeline`).
-``repro.analysis.lint``
-    Per-file AST linter (``python -m repro.analysis.lint``, RPR001–
-    RPR009) targeting syntactically-visible reproduction-killers:
-    untracked randomness, mutable defaults, bare excepts, exact float
-    comparisons, fan-out primitives outside the runtime package.
-``repro.analysis.dataflow``
-    Whole-repo dataflow analyzer (``repro check-determinism``,
-    RPR010–RPR017) for hazards no single file reveals:
-    interprocedural unseeded-RNG flow, Stage purity contracts,
-    cross-process dispatch hazards, artifact shape-flow across
-    :class:`~repro.orchestration.PipelineGraph` edges, and unused
-    ``# repro: noqa`` suppressions.
-
-The ``repro.analysis.sarif`` reporter serializes findings from either
-rule engine as SARIF 2.1.0 for code-scanning UIs.
+``repro check-determinism``
+    The one source analyzer (:mod:`repro.analysis.dataflow.engine`).
+    It parses each file once and runs every row of the rule table in
+    :mod:`repro.analysis.rules`: the per-file rules (RPR001–RPR009,
+    RPR018–RPR021) for syntactically visible reproduction-killers, and
+    the whole-repo rules (RPR010–RPR017) for hazards no single file
+    reveals — interprocedural unseeded-RNG flow, Stage purity
+    contracts, cross-process dispatch hazards and unused
+    ``# repro: noqa`` suppressions.  ``repro.analysis.sarif`` prints its
+    findings as SARIF 2.1.0 for code-scanning UIs.
 """
 
 from .graph import (
@@ -35,18 +30,6 @@ from .graph import (
 )
 from .shapes import GraphValidationError, TensorSpec, estimate_param_count
 
-_LINT_EXPORTS = ("Finding", "LintRule", "RULES", "lint_paths", "lint_source")
-
-
-def __getattr__(name):
-    # Lazy so `python -m repro.analysis.lint` doesn't re-execute a module
-    # already imported by the package (runpy RuntimeWarning).
-    if name in _LINT_EXPORTS:
-        from . import lint
-
-        return getattr(lint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "GraphValidationError",
     "TensorSpec",
@@ -58,9 +41,4 @@ __all__ = [
     "validate_architecture",
     "validate_config",
     "validate_model",
-    "Finding",
-    "LintRule",
-    "RULES",
-    "lint_paths",
-    "lint_source",
 ]

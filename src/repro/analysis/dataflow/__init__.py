@@ -1,10 +1,11 @@
-"""Whole-repo dataflow analysis: the second tier of static analysis.
+"""Whole-repo dataflow analysis, and the analyzer that runs every rule.
 
-:mod:`repro.analysis.lint` is tier one — per-file, syntactic, fast.
-This package is tier two: it parses every module reachable from the
-scanned roots into picklable :class:`~repro.analysis.dataflow.summaries.ModuleSummary`
-records (fanned out over a :class:`~repro.runtime.executor.Executor`),
-links them into a call graph, and runs four whole-repo analyses that
+The engine parses every module reachable from the scanned roots once,
+runs the per-file rules of :mod:`repro.analysis.rules` over each tree
+and compresses it into a picklable
+:class:`~repro.analysis.dataflow.summaries.ModuleSummary` (fanned out
+over a :class:`~repro.runtime.executor.Executor`).  It links the
+summaries into a call graph and runs the whole-repo analyses that
 per-file rules cannot express:
 
 ``seedflow``  (RPR015)
@@ -24,12 +25,12 @@ per-file rules cannot express:
     work units must not alias shared mutable locals.
 ``shapeflow``
     End-to-end artifact shape/dtype flow through ``PipelineGraph``
-    definitions — enforced at graph build time, not by the linter
+    definitions — enforced at graph build time, not by the analyzer
     (see :mod:`repro.analysis.dataflow.shapeflow`).
 
 The engine (:mod:`repro.analysis.dataflow.engine`) merges these
-findings with unused-suppression detection (RPR014), applies
-``# repro: noqa`` suppression and the committed baseline, and backs the
+findings with the per-file ones and unused-suppression detection
+(RPR014), applies ``# repro: noqa`` suppression, and backs the
 ``repro check-determinism`` CLI.
 """
 
@@ -37,24 +38,17 @@ import importlib
 
 #: Public name → defining submodule.  Resolved on first attribute access
 #: (PEP 562) so importing the package — as ``repro.scenarios`` does for
-#: ``shapeflow.ArtifactSpec`` — does not load the engine, which imports
-#: ``repro.analysis.lint`` (a runpy RuntimeWarning under
-#: ``python -m repro.analysis.lint``) and the whole analyzer.
+#: ``shapeflow.ArtifactSpec`` — does not load the engine and the rules.
 _EXPORTS = {
     "AnalysisResult": "engine",
-    "DATAFLOW_RULES": "engine",
     "analyze_paths": "engine",
-    "apply_baseline": "engine",
-    "load_baseline": "engine",
-    "main": "engine",
-    "save_baseline": "engine",
     "ArtifactFlowError": "shapeflow",
     "ArtifactSpec": "shapeflow",
     "check_stage_flow": "shapeflow",
     "FileAnalysis": "summaries",
     "FunctionSummary": "summaries",
     "ModuleSummary": "summaries",
-    "summarize_source": "summaries",
+    "summarize_tree": "summaries",
 }
 
 

@@ -1,84 +1,46 @@
-"""Whole-repo dataflow engine: parse in parallel, analyze as one graph.
+"""The analyzer: parse each file once, report every rule as one graph.
 
-The engine is the second tier of the static-analysis stack.  Each file
-is parsed exactly once — in a worker process when ``workers > 1``,
-which is why :mod:`~repro.analysis.dataflow.summaries` produces
-picklable summaries and never retains an AST — then the summaries are
-linked into one :class:`~repro.analysis.dataflow.callgraph.CallGraph`
-and the interprocedural passes run over it:
+``repro check-determinism`` runs here.  Each file is read, parsed with
+``ast.parse`` and tokenized exactly once — in a worker process when
+``workers > 1``, which is why a :class:`FileAnalysis` is picklable and
+never retains an AST.  The per-file rules of :mod:`repro.analysis.rules`
+run over that tree, and the same tree is compressed into a summary.
+The summaries are then linked into one
+:class:`~repro.analysis.dataflow.callgraph.CallGraph` and the
+interprocedural passes run over it:
 
 * :mod:`~repro.analysis.dataflow.seedflow` — RPR015
 * :mod:`~repro.analysis.dataflow.purity` — RPR010–RPR013
 * :mod:`~repro.analysis.dataflow.hazards` — RPR016–RPR017
 
-Suppression happens here, not in the passes: the engine sees every
-pre-suppression finding (per-file lint *and* dataflow), so it knows
-which ``# repro: noqa`` directives actually fired — any directive that
-suppresses nothing is itself a finding (RPR014), keeping the
-suppression surface honest.
-
-A committed baseline file turns the analyzer into a ratchet: known
-findings are tolerated, new ones fail the build, and
-``--update-baseline`` re-records the current state.
+Suppression happens here, not in the rules: the engine sees every
+pre-suppression finding (per-file *and* dataflow) and the tokenized
+``# repro: noqa`` comments, so it knows which directives actually
+fired — any directive that suppresses nothing is itself a finding
+(RPR014), keeping the suppression surface honest.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..lint import Finding, iter_python_files, lint_source_all, report_text
+from ..rules import RULES, Finding, check_tree
 from .callgraph import CallGraph
 from .hazards import analyze_hazards
 from .purity import check_stage_purity
 from .seedflow import analyze_seedflow
-from .summaries import FileAnalysis, NoqaDirective, summarize_source
-
-#: The rule catalog of the dataflow tier (RPR900 is shared with lint).
-DATAFLOW_RULES: Dict[str, str] = {
-    "RPR010": (
-        "Stage function mutates one of its input artifacts in place; "
-        "upstream digests stop describing what downstream stages saw."
-    ),
-    "RPR011": (
-        "Stage function writes global/nonlocal/module state; stages must "
-        "communicate only through declared artifacts."
-    ),
-    "RPR012": (
-        "Stage function performs direct file/OS I/O; persistence must go "
-        "through the injected StageContext cache helpers."
-    ),
-    "RPR013": (
-        "Stage function reads wall-clock/OS entropy or creates an "
-        "unseeded generator; same inputs must produce the same artifact."
-    ),
-    "RPR014": (
-        "Unused '# repro: noqa' directive: it suppresses no finding and "
-        "should be removed."
-    ),
-    "RPR015": (
-        "Unseeded RNG reaches a stochastic operation (interprocedural "
-        "seed-flow); derive generators from an explicit seed parameter "
-        "or a spawned SeedSequence."
-    ),
-    "RPR016": (
-        "Lambda/nested function/bound method submitted to executor.map; "
-        "work functions must be module-level so they pickle into pool "
-        "workers identically to the serial run."
-    ),
-    "RPR017": (
-        "Work units embed a local that the same function mutates in "
-        "place; parallel workers see a snapshot while the serial path "
-        "sees the mutation."
-    ),
-    "RPR900": "Syntax error: the file could not be parsed.",
-}
-
-BaselineKey = Tuple[str, str, int]
+from .summaries import (
+    FileAnalysis,
+    NoqaDirective,
+    extract_noqa_directives,
+    summarize_tree,
+)
 
 
 @dataclass
@@ -88,7 +50,6 @@ class AnalysisResult:
     findings: List[Finding] = field(default_factory=list)
     files: int = 0
     suppressed: int = 0
-    baselined: int = 0
     errors: List[Tuple[str, str]] = field(default_factory=list)
 
     def to_dict(self) -> Dict:
@@ -97,7 +58,6 @@ class AnalysisResult:
             "count": len(self.findings),
             "files": self.files,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "errors": [
                 {"path": path, "error": message}
                 for path, message in self.errors
@@ -105,8 +65,17 @@ class AnalysisResult:
         }
 
 
+def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
+    """Expand files/directories into the .py files they contain."""
+    for path in paths:
+        if path.is_dir():
+            yield from sorted(path.rglob("*.py"))
+        elif path.suffix == ".py":
+            yield path
+
+
 def _analyze_file(path: str) -> FileAnalysis:
-    """Parse one file into summaries + pre-suppression lint findings.
+    """Parse one file into its summary, per-file findings and directives.
 
     Module-level so it pickles into pool workers; returns only
     picklable dataclasses (never an AST).
@@ -115,18 +84,25 @@ def _analyze_file(path: str) -> FileAnalysis:
         source = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         return FileAnalysis(path=path, summary=None, error=str(exc))
-    lint_findings = lint_source_all(source, path)
     try:
-        summary = summarize_source(source, path)
-    except SyntaxError:
-        # lint_source_all already produced the RPR900 finding.
-        return FileAnalysis(
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        syntax_error = Finding(
             path=path,
-            summary=None,
-            lint_findings=lint_findings,
-            error="syntax error",
+            line=exc.lineno or 1,
+            col=(exc.offset or 0) + 1,
+            code="RPR900",
+            message=f"syntax error: {exc.msg}",
         )
-    return FileAnalysis(path=path, summary=summary, lint_findings=lint_findings)
+        return FileAnalysis(
+            path=path, summary=None, findings=[syntax_error], error="syntax error"
+        )
+    return FileAnalysis(
+        path=path,
+        summary=summarize_tree(tree, path),
+        findings=check_tree(tree, path),
+        noqa_directives=extract_noqa_directives(source),
+    )
 
 
 def _suppression(
@@ -149,12 +125,26 @@ def _suppression(
     return suppressed, used
 
 
+def _unused_directive(path: str, directive: NoqaDirective) -> Finding:
+    codes = "all rules" if directive.codes is None else ",".join(directive.codes)
+    return Finding(
+        path=path,
+        line=directive.line,
+        col=1,
+        code="RPR014",
+        message=(
+            f"unused suppression '# repro: noqa' ({codes}): no finding on "
+            f"this line matches — remove the directive"
+        ),
+    )
+
+
 def analyze_paths(
     paths: Iterable[Path],
     workers: Optional[int] = None,
     executor=None,
 ) -> AnalysisResult:
-    """Run the full dataflow analysis over every python file in ``paths``."""
+    """Run every rule over every python file in ``paths``."""
     files = [str(p) for p in iter_python_files(Path(p) for p in paths)]
     if executor is None:
         # Lazy import: keeps `import repro.analysis.dataflow` free of the
@@ -169,139 +159,48 @@ def analyze_paths(
         a.summary for a in analyses if a.summary is not None
     )
 
-    dataflow: List[Finding] = []
-    dataflow.extend(analyze_seedflow(graph))
-    dataflow.extend(check_stage_purity(graph))
-    dataflow.extend(analyze_hazards(graph))
-
     by_path: Dict[str, List[Finding]] = {}
-    for finding in dataflow:
+    for finding in (
+        *analyze_seedflow(graph),
+        *check_stage_purity(graph),
+        *analyze_hazards(graph),
+    ):
         by_path.setdefault(finding.path, []).append(finding)
 
     kept: List[Finding] = []
     for analysis in analyses:
-        if analysis.error is not None and analysis.summary is None:
+        if analysis.error is not None:
             result.errors.append((analysis.path, analysis.error))
-        # RPR900 findings pass straight through: an unparseable file is
-        # unanalyzable, which the gate must not silently tolerate.
-        kept.extend(
-            f for f in analysis.lint_findings if f.code == "RPR900"
-        )
-        file_dataflow = by_path.get(analysis.path, [])
-        directives = (
-            analysis.summary.noqa_directives
-            if analysis.summary is not None
-            else ()
-        )
-        if not directives:
-            kept.extend(file_dataflow)
-            continue
-        # Which directives fire against the union of lint + dataflow
-        # findings?  Lint findings only mark directives as used; their
-        # reporting is the per-file linter's job.
-        candidates = list(analysis.lint_findings) + file_dataflow
+        # An unparseable file has no directives, so its RPR900 finding
+        # always passes: the gate must not silently tolerate it.
+        candidates = analysis.findings + by_path.get(analysis.path, [])
+        directives = analysis.noqa_directives
         suppressed, used = _suppression(directives, candidates)
-        lint_count = len(analysis.lint_findings)
-        for offset, finding in enumerate(file_dataflow):
-            if lint_count + offset in suppressed:
-                result.suppressed += 1
-            else:
-                kept.append(finding)
-        for d_index, directive in enumerate(directives):
-            if d_index in used:
-                continue
-            codes = (
-                "all rules"
-                if directive.codes is None
-                else ",".join(directive.codes)
-            )
-            kept.append(
-                Finding(
-                    path=analysis.path,
-                    line=directive.line,
-                    col=1,
-                    code="RPR014",
-                    message=(
-                        f"unused suppression '# repro: noqa' ({codes}): "
-                        f"no finding on this line matches — remove the "
-                        f"directive"
-                    ),
-                )
-            )
+        result.suppressed += len(suppressed)
+        kept.extend(f for i, f in enumerate(candidates) if i not in suppressed)
+        kept.extend(
+            _unused_directive(analysis.path, directive)
+            for i, directive in enumerate(directives)
+            if i not in used
+        )
 
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     result.findings = kept
     return result
 
 
-# -- baseline -------------------------------------------------------------
-
-def _baseline_key(finding: Finding) -> BaselineKey:
-    return (finding.path, finding.code, finding.line)
-
-
-def load_baseline(path: Path) -> Set[BaselineKey]:
-    """The committed set of tolerated findings (empty file = empty set)."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {
-        (entry["path"], entry["code"], int(entry["line"]))
-        for entry in data.get("findings", [])
-    }
-
-
-def save_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    """Record the current findings as the new tolerated baseline."""
-    payload = {
-        "version": 1,
-        "findings": [
-            {
-                "path": f.path,
-                "code": f.code,
-                "line": f.line,
-                "message": f.message,
-            }
-            for f in sorted(
-                findings, key=lambda f: (f.path, f.line, f.col, f.code)
-            )
-        ],
-    }
-    Path(path).write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def apply_baseline(
-    result: AnalysisResult, baseline: Set[BaselineKey]
-) -> AnalysisResult:
-    """Drop findings recorded in the baseline; counts them instead."""
-    fresh: List[Finding] = []
-    for finding in result.findings:
-        if _baseline_key(finding) in baseline:
-            result.baselined += 1
-        else:
-            fresh.append(finding)
-    result.findings = fresh
-    return result
-
-
 # -- CLI ------------------------------------------------------------------
 
-def report_sarif(findings: Sequence[Finding]) -> str:
-    from ..sarif import sarif_report
-
-    return sarif_report(
-        findings, tool_name="repro-dataflow", rules=DATAFLOW_RULES
+def report_text(findings: Sequence[Finding]) -> str:
+    lines = [f.format_text() for f in findings]
+    lines.append(
+        f"{len(findings)} finding(s)" if findings else "clean: 0 findings"
     )
+    return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro check-determinism",
-        description=(
-            "Whole-repo determinism & purity analysis: interprocedural "
-            "seed-flow, Stage purity contracts, cross-process hazards."
-        ),
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``repro check-determinism`` options."""
     parser.add_argument(
         "paths", nargs="*", help="files or directories to analyze"
     )
@@ -312,14 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="fmt",
     )
     parser.add_argument(
-        "--baseline",
+        "--select",
         default=None,
-        help="baseline JSON of tolerated findings; new findings still fail",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="re-record current findings into --baseline and exit 0",
+        help="comma-separated rule codes to report (default: all)",
     )
     parser.add_argument(
         "--workers",
@@ -328,22 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="parse files with this many processes (default: serial)",
     )
     parser.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule codes to report (default: all)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
     )
-    return parser
 
 
 def run_cli(args: argparse.Namespace) -> int:
-    """The CLI body, shared by ``python -m repro.analysis.dataflow``
-    and the ``repro check-determinism`` subcommand."""
+    """The ``repro check-determinism`` subcommand."""
     if args.list_rules:
-        for code in sorted(DATAFLOW_RULES):
-            print(f"{code}  {DATAFLOW_RULES[code]}")
+        for code, rule in RULES.items():
+            print(f"{code}  {rule.description}")
         return 0
     if not args.paths:
         print("error: no paths to analyze", file=sys.stderr)
@@ -355,53 +242,31 @@ def run_cli(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.update_baseline and not args.baseline:
-        print("error: --update-baseline requires --baseline", file=sys.stderr)
-        return 2
-
-    result = analyze_paths(
-        [Path(p) for p in args.paths], workers=args.workers
-    )
+    codes = None
     if args.select:
         codes = {c.strip() for c in args.select.split(",") if c.strip()}
-        unknown = codes - set(DATAFLOW_RULES)
+        unknown = codes - set(RULES)
         if unknown:
             print(
                 f"unknown rule code(s): {', '.join(sorted(unknown))}",
                 file=sys.stderr,
             )
             return 2
-        result.findings = [f for f in result.findings if f.code in codes]
 
-    if args.update_baseline:
-        save_baseline(Path(args.baseline), result.findings)
-        print(
-            f"baseline updated: {len(result.findings)} finding(s) recorded "
-            f"in {args.baseline}"
-        )
-        return 0
-    if args.baseline:
-        result = apply_baseline(result, load_baseline(Path(args.baseline)))
+    result = analyze_paths(
+        [Path(p) for p in args.paths], workers=args.workers
+    )
+    if codes is not None:
+        result.findings = [f for f in result.findings if f.code in codes]
 
     if args.fmt == "json":
         print(json.dumps(result.to_dict(), indent=2))
     elif args.fmt == "sarif":
-        print(report_sarif(result.findings))
+        from ..sarif import sarif_report
+
+        print(sarif_report(result.findings))
     else:
         print(report_text(result.findings))
-        extras = []
         if result.suppressed:
-            extras.append(f"{result.suppressed} suppressed via noqa")
-        if result.baselined:
-            extras.append(f"{result.baselined} tolerated via baseline")
-        if extras:
-            print("(" + "; ".join(extras) + ")")
+            print(f"({result.suppressed} suppressed via noqa)")
     return 1 if result.findings else 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run_cli(build_parser().parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

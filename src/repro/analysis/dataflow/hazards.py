@@ -26,7 +26,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional, Set
 
-from ..lint import Finding
+from ..rules import Finding
 from .callgraph import CallGraph
 from .summaries import FunctionSummary
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..lint import Finding
+from ..rules import Finding
 from .callgraph import CallGraph
 from .summaries import FunctionSummary
 

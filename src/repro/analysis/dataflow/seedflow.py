@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from ..lint import Finding
+from ..rules import Finding
 from .callgraph import CallGraph
 from .summaries import FunctionSummary
 

@@ -27,11 +27,15 @@ of noise.
 from __future__ import annotations
 
 import ast
+import io
+import re
+import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Parameter names that mean "the caller threads randomness in".
-RNG_PARAM_NAMES = frozenset({"rng", "seed", "random_state", "generator"})
+from ..rules import RNG_PARAM_NAMES, Finding
+
+_NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Z0-9,\s]+)\])?")
 
 #: ``np.random.Generator`` drawing methods — the stochastic operations
 #: that a tainted generator must never reach.
@@ -322,7 +326,6 @@ class ModuleSummary:
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     module_level_names: Tuple[str, ...] = ()
-    noqa_directives: Tuple[NoqaDirective, ...] = ()
 
     def function(self, qualname: str) -> Optional[FunctionSummary]:
         return self.functions.get(qualname)
@@ -334,7 +337,8 @@ class FileAnalysis:
 
     path: str
     summary: Optional[ModuleSummary]
-    lint_findings: List = field(default_factory=list)  # pre-suppression
+    findings: List[Finding] = field(default_factory=list)  # per-file, pre-suppression
+    noqa_directives: Tuple[NoqaDirective, ...] = ()
     error: Optional[str] = None
 
 
@@ -1127,30 +1131,22 @@ class _ModuleBuilder:
         )
 
 
-def summarize_source(
-    source: str, path: str = "<string>", module: Optional[str] = None
+def summarize_tree(
+    tree: ast.Module, path: str = "<string>", module: Optional[str] = None
 ) -> ModuleSummary:
-    """Parse one module's source into a :class:`ModuleSummary`."""
-    tree = ast.parse(source, filename=path)
+    """Compress one parsed module into a :class:`ModuleSummary`."""
     name = module if module is not None else module_name_for(path)
-    summary = _ModuleBuilder(name, path).build(tree)
-    summary.noqa_directives = extract_noqa_directives(source)
-    return summary
+    return _ModuleBuilder(name, path).build(tree)
 
 
 def extract_noqa_directives(source: str) -> Tuple[NoqaDirective, ...]:
     """Every ``# repro: noqa`` comment in the file, with parsed codes.
 
     Tokenizes rather than regex-scanning raw lines so the directive
-    text appearing inside a docstring or string literal (as it does in
-    the linter's own documentation) is not mistaken for a directive —
+    text appearing inside a docstring or string literal (as it does in the
+    rule table's own documentation) is not mistaken for a directive —
     that distinction is what keeps RPR014 free of false positives.
     """
-    import io
-    import tokenize
-
-    from ..lint import _NOQA_RE
-
     directives: List[NoqaDirective] = []
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))

@@ -1,16 +1,20 @@
-"""SARIF 2.1.0 output shared by the lint and dataflow engines.
+"""SARIF 2.1.0 output of the analyzer.
 
-Both analyzers emit the same :class:`~repro.analysis.lint.Finding`
-shape, so one reporter serves both: ``python -m repro.analysis.lint
---format sarif`` and ``repro check-determinism --format sarif`` produce
-a single-run SARIF log that GitHub code scanning and editor SARIF
-viewers ingest directly.
+``repro check-determinism --format sarif`` prints a single-run SARIF
+log that GitHub code scanning and editor SARIF viewers ingest directly.
+Every row of the rule table (:data:`repro.analysis.rules.RULES`) is
+declared in the log's driver.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Sequence
+
+from .rules import RULES, Finding
+
+TOOL_NAME = "repro-check-determinism"
+TOOL_VERSION = "1.0.0"
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -29,24 +33,18 @@ def _uri(path: str) -> str:
     return path.replace("\\", "/")
 
 
-def sarif_log(
-    findings: Sequence,
-    tool_name: str,
-    rules: Mapping[str, str],
-    information_uri: Optional[str] = None,
-    tool_version: str = "1.0.0",
-) -> Dict:
+def sarif_log(findings: Sequence[Finding]) -> Dict:
     """Build a SARIF 2.1.0 log dict from findings.
 
-    ``rules`` maps rule code to its one-line description; every rule is
-    declared in the driver so ``ruleIndex`` back-references resolve.
+    Every rule is declared in the driver so ``ruleIndex``
+    back-references resolve.
     """
-    codes = sorted(rules)
+    codes = sorted(RULES)
     rule_index = {code: i for i, code in enumerate(codes)}
-    results = []
-    for finding in findings:
-        entry = {
+    results = [
+        {
             "ruleId": finding.code,
+            "ruleIndex": rule_index[finding.code],
             "level": _LEVELS.get(finding.code, "warning"),
             "message": {"text": finding.message},
             "locations": [
@@ -61,23 +59,20 @@ def sarif_log(
                 }
             ],
         }
-        if finding.code in rule_index:
-            entry["ruleIndex"] = rule_index[finding.code]
-        results.append(entry)
+        for finding in findings
+    ]
 
     driver = {
-        "name": tool_name,
-        "version": tool_version,
+        "name": TOOL_NAME,
+        "version": TOOL_VERSION,
         "rules": [
             {
                 "id": code,
-                "shortDescription": {"text": rules[code]},
+                "shortDescription": {"text": RULES[code].description},
             }
             for code in codes
         ],
     }
-    if information_uri:
-        driver["informationUri"] = information_uri
     return {
         "version": SARIF_VERSION,
         "$schema": SARIF_SCHEMA,
@@ -91,20 +86,6 @@ def sarif_log(
     }
 
 
-def sarif_report(
-    findings: Sequence,
-    tool_name: str,
-    rules: Mapping[str, str],
-    **kwargs,
-) -> str:
+def sarif_report(findings: Sequence[Finding]) -> str:
     """The SARIF log as a JSON string."""
-    return json.dumps(sarif_log(findings, tool_name, rules, **kwargs), indent=2)
-
-
-def rule_descriptions_from_registry(registry: Mapping) -> Dict[str, str]:
-    """Rule-code → first docstring line, for class-based rule registries."""
-    out: Dict[str, str] = {}
-    for code, cls in registry.items():
-        doc = (getattr(cls, "__doc__", None) or "").strip().splitlines()
-        out[code] = doc[0].strip() if doc else code
-    return out
+    return json.dumps(sarif_log(findings), indent=2)

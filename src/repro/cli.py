@@ -8,6 +8,7 @@ Workflow-shaped subcommands::
     python -m repro.cli evaluate --system deploy/ --corpus corpus.npz --subject 3
     python -m repro.cli personalize --system deploy/ --corpus corpus.npz --subject 3
     python -m repro.cli check-model --input-shape 1,8,20 --pool-size 2,1
+    python -m repro.cli check-determinism src/repro
 
 (The tables/figures runner lives in ``python -m repro.experiments``.)
 """
@@ -20,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis.dataflow.engine import add_arguments as add_analyzer_arguments
+from .analysis.dataflow.engine import run_cli as run_analyzer
 from .core import CLEAR, CLEARConfig, split_new_user
 from .core.persistence import load_system, save_system
 from .datasets import WEMACConfig
@@ -189,14 +192,6 @@ def cmd_check_model(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check_determinism(args: argparse.Namespace) -> int:
-    """Run the whole-repo dataflow analyzer (seed-flow, Stage purity,
-    cross-process hazards, suppression hygiene) over the given paths."""
-    from .analysis.dataflow.engine import run_cli
-
-    return run_cli(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli",
@@ -280,43 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check-determinism",
-        help="whole-repo dataflow analysis: interprocedural seed-flow, "
-        "Stage purity contracts, cross-process hazards",
+        help="run every analyzer rule: per-file rules, interprocedural "
+        "seed-flow, Stage purity contracts, cross-process hazards",
     )
-    p.add_argument("paths", nargs="*", help="files or directories to analyze")
-    p.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        dest="fmt",
-    )
-    p.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline JSON of tolerated findings; new findings still fail",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="re-record current findings into --baseline and exit 0",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parse files with this many processes (default: serial)",
-    )
-    p.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule codes to report (default: all)",
-    )
-    p.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule table and exit",
-    )
-    p.set_defaults(func=cmd_check_determinism)
+    add_analyzer_arguments(p)
+    p.set_defaults(func=run_analyzer)
 
     return parser
 

@@ -247,9 +247,10 @@ class OnlineDetector:
 
     Maintains the last W window vectors as the model's F x W input and
     classifies after every new window once the map is full.  The final
-    decision is a majority vote over the last ``smoothing`` raw
-    predictions, suppressing single-window flickers — the standard
-    trick for stable real-time emotion detection.  Every window runs
+    decision is a majority vote over the latest raw predictions
+    (:class:`~repro.resilience.degradation.MajorityVote`), suppressing
+    single-window flickers — the standard trick for stable real-time
+    emotion detection.  Every window runs
     under a :class:`~repro.resilience.degradation.DegradationPolicy`
     (``policy=None`` means the default policy): corrupt channels are
     gated and imputed, and sustained corruption holds the last decision.
@@ -260,7 +261,6 @@ class OnlineDetector:
         model: TrainedModel,
         windows_per_map: int,
         streaming: StreamingFeatureExtractor,
-        smoothing: int = 3,
         policy: Optional[DegradationPolicy] = None,
     ):
         if windows_per_map < 1:
@@ -268,8 +268,7 @@ class OnlineDetector:
         self.model = model
         self.windows_per_map = int(windows_per_map)
         self.streaming = streaming
-        self.smoothing = int(smoothing)
-        self._vote = MajorityVote(self.smoothing)
+        self._vote = MajorityVote()
         self.policy = policy if policy is not None else DegradationPolicy()
         self._controller = DegradationController(self.policy)
         # Corrupt input must surface as a gated window; extraction

@@ -65,7 +65,7 @@ class EarlyStopping(Callback):
     Parameters
     ----------
     monitor:
-        Key into the epoch logs, e.g. ``'val_loss'`` or ``'loss'``.
+        Key into the epoch logs: ``'loss'`` or ``'accuracy'``.
     patience:
         Epochs without improvement to tolerate before stopping.
     min_delta:
@@ -79,7 +79,7 @@ class EarlyStopping(Callback):
 
     def __init__(
         self,
-        monitor: str = "val_loss",
+        monitor: str = "loss",
         patience: int = 5,
         min_delta: float = 0.0,
         mode: str = "min",
@@ -141,7 +141,7 @@ class EarlyStopping(Callback):
 class BestWeights(Callback):
     """Track the best weights by a monitored metric without stopping."""
 
-    def __init__(self, monitor: str = "val_accuracy", mode: str = "max"):
+    def __init__(self, monitor: str = "accuracy", mode: str = "max"):
         if mode not in ("min", "max"):
             raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
         self.monitor = monitor

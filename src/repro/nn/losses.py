@@ -42,36 +42,22 @@ class Loss:
 
 
 class SoftmaxCrossEntropy(Loss):
-    """Softmax + cross-entropy on raw logits, with label smoothing.
+    """Softmax + cross-entropy on raw logits.
 
     Labels may be integer class indices ``(N,)`` or one-hot ``(N, C)``.
     """
 
-    def __init__(self, label_smoothing: float = 0.0):
-        if not 0.0 <= label_smoothing < 1.0:
-            raise ValueError(
-                f"label_smoothing must be in [0, 1), got {label_smoothing}"
-            )
-        self.label_smoothing = float(label_smoothing)
-
-    def _smooth_targets(self, labels: np.ndarray, num_classes: int) -> np.ndarray:
-        eye = np.eye(num_classes, dtype=np.float64)[labels]
-        if self.label_smoothing == 0.0:
-            return eye
-        eps = self.label_smoothing
-        return eye * (1.0 - eps) + eps / num_classes
-
     def loss(self, y_pred: np.ndarray, y_true: np.ndarray) -> float:
         num_classes = y_pred.shape[1]
         labels = _as_index_labels(y_true, num_classes)
-        targets = self._smooth_targets(labels, num_classes)
+        targets = np.eye(num_classes, dtype=np.float64)[labels]
         logp = log_softmax(y_pred, axis=1)
         return float(-(targets * logp).sum(axis=1).mean())
 
     def grad(self, y_pred: np.ndarray, y_true: np.ndarray) -> np.ndarray:
         num_classes = y_pred.shape[1]
         labels = _as_index_labels(y_true, num_classes)
-        targets = self._smooth_targets(labels, num_classes)
+        targets = np.eye(num_classes, dtype=np.float64)[labels]
         probs = softmax(y_pred, axis=1)
         return (probs - targets) / y_pred.shape[0]
 

@@ -208,11 +208,14 @@ class Sequential:
         y: np.ndarray,
         epochs: int = 10,
         batch_size: int = 32,
-        validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         callbacks: Optional[Iterable[Callback]] = None,
         verbose: bool = False,
     ) -> History:
-        """Mini-batch training loop with optional validation and callbacks."""
+        """Mini-batch training loop with callbacks.
+
+        Each epoch logs ``loss`` (the mean batch loss), ``accuracy`` (on
+        the training data) and ``epoch``.
+        """
         if self.loss is None or self.optimizer is None:
             raise RuntimeError("call compile() before training")
         x = self._cast_input(x)
@@ -244,11 +247,6 @@ class Sequential:
             }
             train_pred = self.predict(x)
             logs["accuracy"] = accuracy(y, train_pred)
-            if validation_data is not None:
-                val_x, val_y = validation_data
-                val_logits = self.predict(val_x)
-                logs["val_loss"] = self.loss.loss(val_logits, np.asarray(val_y))
-                logs["val_accuracy"] = accuracy(np.asarray(val_y), val_logits)
             for cb in all_callbacks:
                 cb.on_epoch_end(self, epoch, logs)
             if any(cb.stop_training for cb in all_callbacks):

@@ -179,8 +179,13 @@ def safe_probabilities(logits: np.ndarray) -> Tuple[np.ndarray, bool]:
     return probs, False
 
 
+#: How many of the latest raw predictions a :class:`MajorityVote` counts.
+VOTE_WINDOW = 3
+
+
 class MajorityVote:
-    """Temporal smoothing: majority over the last ``smoothing`` raw predictions.
+    """Temporal smoothing: majority over the last :data:`VOTE_WINDOW` raw
+    predictions.
 
     The one vote shared by the on-device detector
     (:class:`repro.edge.streaming.OnlineDetector`) and fleet serving
@@ -188,10 +193,8 @@ class MajorityVote:
     class, so a {0, 1} split decides class 0.
     """
 
-    def __init__(self, smoothing: int):
-        if smoothing < 1:
-            raise ValueError("smoothing must be >= 1")
-        self._recent: Deque[int] = deque(maxlen=int(smoothing))
+    def __init__(self):
+        self._recent: Deque[int] = deque(maxlen=VOTE_WINDOW)
 
     def __call__(self, raw: int) -> int:
         """Record one raw prediction; returns the smoothed decision."""

@@ -131,7 +131,6 @@ class InferenceService:
         admission: Optional[AdmissionPolicy] = None,
         clock: Optional[Clock] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        smoothing: int = 3,
         sequential: bool = False,
         wall_timer: Optional[Callable[[], float]] = None,
     ):
@@ -144,7 +143,6 @@ class InferenceService:
         self.batcher = MicroBatcher(policy, self.clock)
         self.admission = AdmissionController(admission)
         self.sessions: Dict[int, UserSession] = {}
-        self.smoothing = int(smoothing)
         self.wall_timer = wall_timer
         self.registry = ClusterModelRegistry(
             cache_dir=cache_dir, capacity=len(system.cluster_models) + 8
@@ -170,7 +168,6 @@ class InferenceService:
             user_id=user_id,
             cluster=assignment.cluster,
             margin=assignment.margin(),
-            smoothing=self.smoothing,
         )
         self.sessions[user_id] = session
         return session

@@ -27,18 +27,12 @@ class UserSession:
     ``("user", uid)`` group served by their fine-tuned model.
     """
 
-    def __init__(
-        self,
-        user_id: int,
-        cluster: int,
-        margin: float,
-        smoothing: int = 3,
-    ):
+    def __init__(self, user_id: int, cluster: int, margin: float):
         self.user_id = int(user_id)
         self.cluster = int(cluster)
         self.margin = float(margin)
         self.personalized = False
-        self._vote = MajorityVote(smoothing)
+        self._vote = MajorityVote()
         self._issued = 0  # request indices handed out
         self._next_emit = 0  # next request index the reorder buffer releases
         self._held: Dict[int, Tuple] = {}
@@ -59,7 +53,7 @@ class UserSession:
 
     # -- decision smoothing (the vote OnlineDetector uses too) ------------
     def smooth(self, raw: int) -> int:
-        """Majority vote over the last ``smoothing`` raw predictions."""
+        """Majority vote over the latest raw predictions."""
         return self._vote(raw)
 
     # -- reorder buffer ----------------------------------------------------

@@ -6,27 +6,23 @@ exactly the planted violations — and nothing in the sanctioned
 patterns that sit next to them.
 """
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.dataflow import (
-    DATAFLOW_RULES,
-    analyze_paths,
-    apply_baseline,
-    load_baseline,
-    save_baseline,
-    summarize_source,
-)
+from repro.analysis.dataflow import analyze_paths, summarize_tree
 from repro.analysis.dataflow.callgraph import CallGraph
-from repro.analysis.dataflow.engine import _analyze_file, main
+from repro.analysis.dataflow.engine import _analyze_file
 from repro.analysis.dataflow.hazards import analyze_hazards
 from repro.analysis.dataflow.purity import (
     check_stage_purity,
     resolve_stage_bindings,
 )
 from repro.analysis.dataflow.summaries import extract_noqa_directives
+from repro.analysis.rules import RULES
+from repro.cli import main as cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
@@ -40,6 +36,14 @@ def _analyze(*names):
     return analyze_paths([FIXTURES / name for name in names])
 
 
+def summarize(source, path, module):
+    return summarize_tree(ast.parse(source), path, module=module)
+
+
+def main(argv):
+    return cli_main(["check-determinism", *argv])
+
+
 # -- summaries ------------------------------------------------------------
 
 class TestSummaries:
@@ -51,7 +55,7 @@ class TestSummaries:
             "    alias = rng\n"
             "    return alias.normal(size=n)\n"
         )
-        summary = summarize_source(source, "mod.py", module="mod")
+        summary = summarize(source, "mod.py", module="mod")
         fn = summary.functions["mod.f"]
         assert "rng" in fn.tainted_vars
         assert "alias" in fn.tainted_vars
@@ -66,7 +70,7 @@ class TestSummaries:
             "    rng = np.random.default_rng(seed)\n"
             "    return rng.normal()\n"
         )
-        summary = summarize_source(source, "mod.py", module="mod")
+        summary = summarize(source, "mod.py", module="mod")
         fn = summary.functions["mod.f"]
         assert fn.tainted_vars == ()
         assert fn.rng_creations[0].kind == "seeded"
@@ -79,24 +83,24 @@ class TestSummaries:
             "    child = ss.spawn(1)\n"
             "    return child\n"
         )
-        fn = summarize_source(source, "m.py", module="m").functions["m.f"]
+        fn = summarize(source, "m.py", module="m").functions["m.f"]
         assert fn.tainted_vars == ()
         kinds = {c.kind for c in fn.rng_creations}
         assert kinds == {"seeded", "spawn"}
 
     def test_module_level_function_qualname(self):
-        summary = summarize_source("def top():\n    pass\n", "m.py", module="m")
+        summary = summarize("def top():\n    pass\n", "m.py", module="m")
         assert "m.top" in summary.functions
         assert summary.functions["m.top"].is_nested is False
 
     def test_nested_function_marked_nested(self):
         source = "def outer():\n    def inner():\n        pass\n    return inner\n"
-        summary = summarize_source(source, "m.py", module="m")
+        summary = summarize(source, "m.py", module="m")
         assert summary.functions["m.outer.inner"].is_nested is True
 
     def test_methods_are_not_nested(self):
         source = "class C:\n    def m(self):\n        pass\n"
-        summary = summarize_source(source, "m.py", module="m")
+        summary = summarize(source, "m.py", module="m")
         assert summary.functions["m.C.m"].is_nested is False
 
     def test_noqa_in_docstring_is_not_a_directive(self):
@@ -110,7 +114,8 @@ class TestSummaries:
         analysis = _analyze_file(str(FIXTURES / "impure_stage.py"))
         clone = pickle.loads(pickle.dumps(analysis))
         assert clone.summary.module == analysis.summary.module
-        assert len(clone.lint_findings) == len(analysis.lint_findings)
+        assert clone.findings == analysis.findings
+        assert clone.noqa_directives == analysis.noqa_directives
 
 
 # -- seed-flow (RPR015) ---------------------------------------------------
@@ -310,39 +315,26 @@ class TestEngine:
 
     def test_finding_codes_are_all_catalogued(self):
         result = analyze_paths([FIXTURES])
-        assert set(_codes(result.findings)) <= set(DATAFLOW_RULES)
+        assert set(_codes(result.findings)) <= set(RULES)
 
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch):
+        for name in ("a", "b", "c"):
+            (tmp_path / f"{name}.py").write_text(
+                "import numpy as np\nx = np.random.rand(3)\n", encoding="utf-8"
+            )
+        parsed = []
+        real_parse = ast.parse
 
-# -- baseline -------------------------------------------------------------
+        def counting_parse(source, *args, **kwargs):
+            parsed.append(kwargs.get("filename", args[0] if args else None))
+            return real_parse(source, *args, **kwargs)
 
-class TestBaseline:
-    def test_roundtrip_and_filter(self, tmp_path):
-        result = _analyze("unused_noqa.py")
-        assert result.findings
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(baseline_path, result.findings)
-        baseline = load_baseline(baseline_path)
-        assert len(baseline) == len(result.findings)
-        refreshed = _analyze("unused_noqa.py")
-        filtered = apply_baseline(refreshed, baseline)
-        assert filtered.findings == []
-        assert filtered.baselined == len(baseline)
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        result = analyze_paths([tmp_path])
+        assert sorted(parsed) == sorted(str(tmp_path / f"{n}.py") for n in "abc")
+        # One parse feeds both the per-file rules and the dataflow summary.
+        assert _codes(result.findings) == ["RPR001"] * 3
 
-    def test_new_findings_survive_baseline(self, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(baseline_path, _analyze("unused_noqa.py").findings)
-        baseline = load_baseline(baseline_path)
-        combined = _analyze("unused_noqa.py", "seedflow_leak.py")
-        filtered = apply_baseline(combined, baseline)
-        assert filtered.findings  # seedflow leaks are not in the baseline
-        assert all(
-            f.path.endswith("seedflow_leak.py") for f in filtered.findings
-        )
-
-    def test_empty_baseline_loads_empty(self, tmp_path):
-        path = tmp_path / "empty.json"
-        path.write_text('{"version": 1, "findings": []}', encoding="utf-8")
-        assert load_baseline(path) == set()
 
 
 # -- CLI ------------------------------------------------------------------
@@ -373,22 +365,8 @@ class TestCli:
     def test_select_unknown_code_exits_two(self, capsys):
         assert main(["--select", "RPR999", str(FIXTURES)]) == 2
 
-    def test_update_baseline_then_gate_passes(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        target = str(FIXTURES / "unused_noqa.py")
-        assert (
-            main([target, "--baseline", str(baseline), "--update-baseline"])
-            == 0
-        )
-        capsys.readouterr()
-        assert main([target, "--baseline", str(baseline)]) == 0
-        assert "tolerated via baseline" in capsys.readouterr().out
-
-    def test_update_baseline_requires_baseline(self, capsys):
-        assert main([str(FIXTURES), "--update-baseline"]) == 2
-
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in DATAFLOW_RULES:
-            assert code in out
+        for code, rule in RULES.items():
+            assert f"{code}  {rule.description}" in out

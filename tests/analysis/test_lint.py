@@ -1,26 +1,44 @@
-"""Lint-rule fixtures: each rule fires on the bad snippet, not the good one."""
+"""Per-file rule fixtures: each rule fires on the bad snippet, not the good one.
 
+Every snippet goes through the one analyzer (``analyze_paths``, the
+engine behind ``repro check-determinism``), so these tests see what the
+CLI reports: per-file and whole-repo findings after noqa suppression.
+"""
+
+import ast
 import json
+import re
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
-    RULES,
-    Finding,
-    lint_paths,
-    lint_source,
-    main,
-    report_json,
-    report_text,
-)
+from repro.analysis.dataflow.engine import analyze_paths, report_text
+from repro.analysis.rules import RULES, Finding, check_tree
+from repro.cli import main as cli_main
+
+SNIPPET_PATH = "src/repro/nn/snippet.py"
 
 
-def codes_of(source, path="src/repro/nn/snippet.py"):
+def analyze(source, path=SNIPPET_PATH):
+    """The analyzer's findings for one snippet written at ``path``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / path
+        target.parent.mkdir(parents=True)
+        target.write_text(textwrap.dedent(source), encoding="utf-8")
+        return analyze_paths([target]).findings
+
+
+def codes_of(source, path=SNIPPET_PATH):
     # The default path sits inside repro/nn so that path-scoped rules
     # (RPR019) see the snippet; path-exempt rules (RPR008/RPR009) are
     # not exempted there, so every rule can fire on its fixture.
-    return [f.code for f in lint_source(textwrap.dedent(source), path)]
+    return [f.code for f in analyze(source, path)]
+
+
+def main(argv):
+    return cli_main(["check-determinism", *argv])
 
 
 class TestRuleFixtures:
@@ -107,17 +125,18 @@ class TestRuleFixtures:
     @pytest.mark.parametrize("code", sorted(FIXTURES))
     def test_bad_snippet_fires(self, code):
         bad, _ = self.FIXTURES[code]
-        path = self.FIXTURE_PATHS.get(code, "src/repro/nn/snippet.py")
+        path = self.FIXTURE_PATHS.get(code, SNIPPET_PATH)
         assert code in codes_of(bad, path=path)
 
     @pytest.mark.parametrize("code", sorted(FIXTURES))
     def test_good_snippet_clean(self, code):
         _, good = self.FIXTURES[code]
-        path = self.FIXTURE_PATHS.get(code, "src/repro/nn/snippet.py")
+        path = self.FIXTURE_PATHS.get(code, SNIPPET_PATH)
         assert code not in codes_of(good, path=path)
 
     def test_every_registered_rule_has_a_fixture(self):
-        assert set(self.FIXTURES) == set(RULES)
+        per_file = {code for code, rule in RULES.items() if rule.check}
+        assert set(self.FIXTURES) == per_file
 
 
 class TestRuleEdges:
@@ -156,8 +175,7 @@ class TestRuleEdges:
         assert "RPR006" not in codes_of(src)
 
     def test_syntax_error_reported_not_raised(self):
-        findings = lint_source("def broken(:\n")
-        assert [f.code for f in findings] == ["RPR900"]
+        assert codes_of("def broken(:\n") == ["RPR900"]
 
     def test_time_time_flagged(self):
         assert "RPR007" in codes_of("import time\nt0 = time.time()\n")
@@ -179,8 +197,7 @@ class TestRuleEdges:
 
     def test_runtime_package_exempt_from_rpr008(self):
         src = "from concurrent.futures import ProcessPoolExecutor\n"
-        findings = lint_source(src, path="src/repro/runtime/executor.py")
-        assert "RPR008" not in [f.code for f in findings]
+        assert "RPR008" not in codes_of(src, path="src/repro/runtime/executor.py")
 
     def test_relative_runtime_import_not_flagged(self):
         # ``from ..runtime import ...`` is the sanctioned way in.
@@ -205,8 +222,8 @@ class TestRuleEdges:
     def test_runtime_and_orchestration_exempt_from_rpr009(self):
         src = "executor = SerialExecutor()\n"
         for pkg in ("runtime", "orchestration"):
-            findings = lint_source(src, path=f"src/repro/{pkg}/context.py")
-            assert "RPR009" not in [f.code for f in findings], pkg
+            codes = codes_of(src, path=f"src/repro/{pkg}/context.py")
+            assert "RPR009" not in codes, pkg
 
     def test_name_reference_without_call_allowed(self):
         # Passing the class around (type hints, isinstance) is fine;
@@ -288,8 +305,7 @@ class TestServingBatchBypass:
 
     def test_predict_many_allowed_in_batching_module(self):
         src = "def flush(model, xs):\n    return model.predict_many(xs)\n"
-        findings = lint_source(src, path="src/repro/serving/batching.py")
-        assert "RPR020" not in [f.code for f in findings]
+        assert "RPR020" not in codes_of(src, path="src/repro/serving/batching.py")
 
     def test_forward_many_flagged_outside_batching(self):
         assert "RPR020" in codes_of(
@@ -302,10 +318,9 @@ class TestServingBatchBypass:
         )
 
     def test_out_of_scope_path_not_flagged(self):
-        findings = lint_source(
+        assert "RPR020" not in codes_of(
             "y = model.predict(x)\n", path="src/repro/edge/streaming.py"
         )
-        assert "RPR020" not in [f.code for f in findings]
 
     def test_predict_many_allowed_everywhere_in_serving(self):
         # predict_many IS the batched entry point — only the raw
@@ -335,11 +350,10 @@ class TestPopulationMaterialization:
         )
 
     def test_exempt_inside_scenarios_package(self):
-        findings = lint_source(
+        assert "RPR021" not in codes_of(
             "subjects = list(self.iter_subjects())\n",
             path="src/repro/scenarios/base.py",
         )
-        assert "RPR021" not in [f.code for f in findings]
 
     def test_generator_expression_stays_lazy(self):
         # A genexp doesn't materialize anything by itself.
@@ -354,56 +368,162 @@ class TestPopulationMaterialization:
 class TestSuppression:
     def test_blanket_noqa(self):
         src = "import numpy as np\nx = np.random.rand(3)  # repro: noqa\n"
-        assert lint_source(src) == []
+        assert analyze(src) == []
 
     def test_targeted_noqa(self):
         src = (
             "import numpy as np\n"
             "x = np.random.rand(3)  # repro: noqa[RPR001]\n"
         )
-        assert lint_source(src) == []
+        assert analyze(src) == []
 
     def test_wrong_code_does_not_suppress(self):
         src = (
             "import numpy as np\n"
             "x = np.random.rand(3)  # repro: noqa[RPR005]\n"
         )
-        assert [f.code for f in lint_source(src)] == ["RPR001"]
+        # The directive matches nothing on its line, so it is RPR014 too.
+        assert [f.code for f in analyze(src)] == ["RPR014", "RPR001"]
 
     def test_multi_code_noqa(self):
         src = "bad = x == 0.5  # repro: noqa[RPR001, RPR005]\n"
-        assert lint_source(src) == []
+        assert analyze(src) == []
+
+    def test_noqa_in_string_literal_does_not_suppress(self):
+        # Only a comment is a directive: the string on line 2 must not
+        # hide the float comparison that shares its line.
+        findings = analyze(NOQA_IN_STRING)
+        assert [(f.line, f.code) for f in findings] == [(2, "RPR005")]
+
+
+#: A noqa pattern inside a string literal, on the line of a real finding.
+NOQA_IN_STRING = 'def g(a):\n    s = "# repro: noqa"; return a == 1.5\n'
+
+_LINE_NOQA = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Z0-9,\s]+)\])?")
+PER_FILE_CODES = {code for code, rule in RULES.items() if rule.check} | {"RPR900"}
+PARITY_PATHS = (
+    SNIPPET_PATH,
+    "src/repro/serving/service.py",
+    "src/repro/scenarios/base.py",
+    "src/repro/runtime/executor.py",
+)
+
+
+def line_suppressed_findings(source, path):
+    """The per-file findings under line-regex suppression.
+
+    This is how the per-file linter that ``check-determinism`` replaced
+    suppressed: it dropped a finding when the noqa pattern matched
+    anywhere on its physical line, string literals included.
+    """
+    try:
+        findings = check_tree(ast.parse(source), path)
+    except SyntaxError as exc:
+        findings = [
+            Finding(path, exc.lineno or 1, (exc.offset or 0) + 1, "RPR900", "")
+        ]
+    lines = source.splitlines()
+    kept = []
+    for finding in findings:
+        match = (
+            _LINE_NOQA.search(lines[finding.line - 1])
+            if 1 <= finding.line <= len(lines)
+            else None
+        )
+        codes = match and match.group(1)
+        if match is None or (
+            codes is not None
+            and finding.code not in {c.strip() for c in codes.split(",")}
+        ):
+            kept.append(finding)
+    return kept
+
+
+def located(findings):
+    return sorted((f.line, f.col, f.code) for f in findings)
+
+
+def _inline_sources():
+    """Every string literal in this file: the snippets and their kin."""
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    return sorted(
+        {
+            textwrap.dedent(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+    )
+
+
+class TestParityWithLineSuppression:
+    """The analyzer reports every per-file finding the retired linter did.
+
+    Both run the same per-file rules; only the suppression path
+    differs.  On every inline source in this file, at paths inside and
+    outside the confinement scopes, the analyzer's per-file findings
+    equal the line-suppressed ones, apart from :data:`NOQA_IN_STRING`,
+    where the line regex was wrong.  ``test_lint_clean_over_src`` in
+    ``tests/test_repo_invariants.py`` checks the same on ``src/repro``.
+    """
+
+    def test_inline_sources(self, tmp_path):
+        sources = _inline_sources()
+        cases = {}
+        for index, source in enumerate(sources):
+            for rel in PARITY_PATHS:
+                target = tmp_path / f"case{index}" / rel
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_text(source, encoding="utf-8")
+                cases[str(target)] = (source, rel)
+        reported = {path: [] for path in cases}
+        for finding in analyze_paths([tmp_path]).findings:
+            if finding.code in PER_FILE_CODES:
+                reported[finding.path].append(finding)
+        differing = {
+            source
+            for path, (source, rel) in cases.items()
+            if located(reported[path])
+            != located(line_suppressed_findings(source, rel))
+        }
+        assert differing == {NOQA_IN_STRING}
 
 
 class TestEngine:
-    def test_select_subset_of_rules(self):
-        src = "def f(a=[]):\n    return a == 0.5\n"
-        findings = lint_source(src, codes=["RPR003"])
-        assert [f.code for f in findings] == ["RPR003"]
+    def test_select_subset_of_rules(self, tmp_path, capsys):
+        target = tmp_path / "two.py"
+        target.write_text("def f(a=[]):\n    return a == 0.5\n")
+        assert main(["--select", "RPR003", "--format", "json", str(target)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [f["code"] for f in payload["findings"]] == ["RPR003"]
 
     def test_findings_sorted_by_location(self):
         src = "bad = x == 0.5\ndef f(a=[]):\n    pass\n"
-        findings = lint_source(src)
+        findings = analyze(src)
         assert [f.line for f in findings] == sorted(f.line for f in findings)
 
     def test_lint_paths_walks_directories(self, tmp_path):
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "mod.py").write_text("bad = x == 0.5\n")
         (tmp_path / "pkg" / "clean.py").write_text("ok = x == 0.0\n")
-        findings = lint_paths([tmp_path])
+        findings = analyze_paths([tmp_path]).findings
         assert len(findings) == 1
         assert findings[0].path.endswith("mod.py")
 
-    def test_reporters(self):
+    def test_reporters(self, tmp_path, capsys):
         findings = [Finding("a.py", 3, 1, "RPR004", "msg")]
         assert "a.py:3:1: RPR004 msg" in report_text(findings)
-        payload = json.loads(report_json(findings))
+        assert "clean" in report_text([])
+        target = tmp_path / "bad.py"
+        target.write_text("try:\n    pass\nexcept:\n    pass\n")
+        main(["--format", "json", str(target)])
+        payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 1
         assert payload["findings"][0]["code"] == "RPR004"
-        assert "clean" in report_text([])
 
 
 class TestCli:
+    """Per-file findings through ``repro check-determinism``."""
+
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         target = tmp_path / "ok.py"
         target.write_text("x = 1\n")
@@ -426,10 +546,11 @@ class TestCli:
     def test_unknown_select_code(self, tmp_path, capsys):
         target = tmp_path / "ok.py"
         target.write_text("x = 1\n")
-        assert main(["--select", "RPR999", str(target)]) == 2
+        assert main(["--select", "RPR004,RPR999", str(target)]) == 2
+        assert "RPR999" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
-        assert main(["--list-rules", "."]) == 0
-        out = capsys.readouterr().out
-        for code in RULES:
-            assert code in out
+        assert main(["--list-rules"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == sorted(RULES)
+        assert len(set(listed)) == len(listed)

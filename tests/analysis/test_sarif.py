@@ -1,4 +1,4 @@
-"""SARIF 2.1.0 output validation for both analyzer tiers.
+"""SARIF 2.1.0 output validation for the analyzer.
 
 The container has no network access, so the official OASIS schema is
 embedded below as the subset covering every construct the reporters
@@ -15,12 +15,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from repro.analysis.dataflow.engine import (
-    DATAFLOW_RULES,
-    analyze_paths,
-    report_sarif,
-)
-from repro.analysis.lint import lint_source, report_sarif as lint_sarif
+from repro.analysis.dataflow.engine import analyze_paths
+from repro.analysis.rules import RULES
+from repro.analysis.sarif import TOOL_NAME, sarif_report as report_sarif
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -174,7 +171,7 @@ class TestDataflowSarif:
     def test_every_rule_declared_in_driver(self, log):
         driver = log["runs"][0]["tool"]["driver"]
         declared = {rule["id"] for rule in driver["rules"]}
-        assert declared == set(DATAFLOW_RULES)
+        assert declared == set(RULES)
 
     def test_rule_indices_resolve(self, log):
         run = log["runs"][0]
@@ -193,17 +190,20 @@ class TestDataflowSarif:
 
 
 class TestLintSarif:
-    def test_lint_findings_validate(self):
-        findings = lint_source(
-            "import numpy as np\nx = np.random.default_rng()\n", "m.py"
-        )
-        assert findings
-        log = _validate(lint_sarif(findings))
-        assert log["runs"][0]["tool"]["driver"]["name"] == "repro-lint"
+    """Per-file findings share the log, and the tool name, of the rest."""
 
-    def test_syntax_error_is_error_level(self):
-        findings = lint_source("def broken(:\n", "bad.py")
-        log = _validate(lint_sarif(findings))
+    def test_lint_findings_validate(self, tmp_path):
+        target = tmp_path / "m.py"
+        target.write_text("import numpy as np\nx = np.random.default_rng()\n")
+        findings = analyze_paths([target]).findings
+        assert [f.code for f in findings] == ["RPR002"]
+        log = _validate(report_sarif(findings))
+        assert log["runs"][0]["tool"]["driver"]["name"] == TOOL_NAME
+
+    def test_syntax_error_is_error_level(self, tmp_path):
+        target = tmp_path / "bad.py"
+        target.write_text("def broken(:\n")
+        log = _validate(report_sarif(analyze_paths([target]).findings))
         (result,) = log["runs"][0]["results"]
         assert result["ruleId"] == "RPR900"
         assert result["level"] == "error"

@@ -192,12 +192,10 @@ class TestOnlineDetector:
     def test_smoothing_majority_vote(self, trained):
         model, _ = trained
         stream = StreamingFeatureExtractor(RATES, window_seconds=8.0)
-        detector = OnlineDetector(
-            model, windows_per_map=4, streaming=stream, smoothing=3
-        )
+        detector = OnlineDetector(model, windows_per_map=4, streaming=stream)
         # The detector smooths with the vote serving sessions use.
         assert isinstance(detector._vote, MajorityVote)
-        vote = MajorityVote(3)
+        vote = MajorityVote()
         # Tie at {0, 1} goes to class 0.
         assert [vote(raw) for raw in (1, 0, 1, 0)] == [1, 0, 1, 0]
 
@@ -231,5 +229,3 @@ class TestOnlineDetector:
         stream = StreamingFeatureExtractor(RATES, window_seconds=8.0)
         with pytest.raises(ValueError, match="windows_per_map"):
             OnlineDetector(model, 0, stream)
-        with pytest.raises(ValueError, match="smoothing"):
-            OnlineDetector(model, 4, stream, smoothing=0)

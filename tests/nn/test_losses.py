@@ -42,30 +42,11 @@ class TestSoftmaxCrossEntropy:
         numeric = numeric_grad(lambda: loss.loss(logits, labels), logits)
         assert relative_error(analytic, numeric) < 1e-6
 
-    def test_label_smoothing_gradient(self, rng):
-        loss = losses.SoftmaxCrossEntropy(label_smoothing=0.1)
-        logits = rng.normal(size=(4, 3))
-        labels = rng.integers(0, 3, size=4)
-        analytic = loss.grad(logits, labels)
-        numeric = numeric_grad(lambda: loss.loss(logits, labels), logits)
-        assert relative_error(analytic, numeric) < 1e-6
-
-    def test_label_smoothing_raises_floor(self):
-        plain = losses.SoftmaxCrossEntropy()
-        smooth = losses.SoftmaxCrossEntropy(label_smoothing=0.2)
-        logits = np.array([[50.0, 0.0]])
-        labels = np.array([0])
-        assert smooth.loss(logits, labels) > plain.loss(logits, labels)
-
     def test_extreme_logits_stable(self):
         loss = losses.SoftmaxCrossEntropy()
         logits = np.array([[1e5, -1e5, 0.0]])
         value = loss.loss(logits, np.array([0]))
         assert np.isfinite(value)
-
-    def test_invalid_smoothing(self):
-        with pytest.raises(ValueError, match="label_smoothing"):
-            losses.SoftmaxCrossEntropy(label_smoothing=1.0)
 
     def test_one_hot_class_mismatch_raises(self):
         loss = losses.SoftmaxCrossEntropy()

@@ -43,15 +43,11 @@ class TestUserSession:
         assert [s.next_request_index() for _ in range(3)] == [0, 1, 2]
 
     def test_smoothing_majority_vote(self):
-        s = _session(smoothing=3)
+        s = _session()
         assert s.smooth(1) == 1
         assert s.smooth(0) == 0  # tie at {0,1}: argmax picks class 0
         assert s.smooth(1) == 1  # {1,0,1} -> 1
         assert s.smooth(0) == 0  # {0,1,0} -> 0
-
-    def test_smoothing_validated(self):
-        with pytest.raises(ValueError, match="smoothing"):
-            _session(smoothing=0)
 
     def test_reorder_buffer_releases_in_request_order(self):
         s = _session()

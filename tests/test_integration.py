@@ -106,7 +106,6 @@ class TestStreamingWithDeployedModel:
             checkpoint,
             windows_per_map=cfg.windows_per_map,
             streaming=streaming,
-            smoothing=3,
         )
 
         rng = np.random.default_rng(1)

@@ -1,10 +1,10 @@
 """Tier-1 gate: the shipped tree satisfies its own static invariants.
 
-Runs the repo-invariant lint engine over ``src/repro`` and requires zero
-findings, so any future PR that introduces untracked randomness, mutable
-defaults, bare excepts, or exact float comparisons fails pytest before
-review.  Also pins the pre-flight contract: the paper architecture must
-always validate statically.
+Runs the analyzer (``repro check-determinism``) over ``src/repro`` and
+requires zero findings, so any future PR that introduces untracked
+randomness, mutable defaults, bare excepts, exact float comparisons or
+impure stages fails pytest before review.  Also pins the pre-flight
+contract: the paper architecture must always validate statically.
 """
 
 import os
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from repro.analysis import validate_architecture
-from repro.analysis.lint import RULES, lint_paths
+from repro.analysis.rules import RULES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -23,15 +23,25 @@ def test_src_tree_exists():
 
 
 def test_lint_clean_over_src():
-    findings = lint_paths([SRC])
+    # The per-file rules report nothing over src/repro, and exactly what
+    # the line-regex suppression of the retired per-file linter left.
+    from repro.analysis.dataflow import analyze_paths
+    from tests.analysis.test_lint import PER_FILE_CODES, line_suppressed_findings
+
+    findings = [
+        f for f in analyze_paths([SRC]).findings if f.code in PER_FILE_CODES
+    ]
     formatted = "\n".join(f.format_text() for f in findings)
     assert not findings, f"repo invariants violated:\n{formatted}"
+    for path in sorted(SRC.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert line_suppressed_findings(source, str(path)) == [], path
 
 
 def test_all_rules_enabled_by_default():
-    # The zero-findings gate above is only meaningful if no rule was
-    # silently dropped from the registry.
-    assert set(RULES) == {
+    # The zero-findings gate below is only meaningful if no rule was
+    # silently dropped from the table.  These rows run per file.
+    assert {code for code, rule in RULES.items() if rule.check} == {
         "RPR001",
         "RPR002",
         "RPR003",
@@ -49,30 +59,20 @@ def test_all_rules_enabled_by_default():
 
 
 def test_determinism_analyzer_clean_over_src():
-    # Tier-2 gate: the whole-repo dataflow analyzer (seed-flow, Stage
-    # purity, cross-process hazards, suppression hygiene) must report
-    # nothing over src/repro beyond the committed baseline — which is
-    # empty, so in practice: nothing at all.
-    from repro.analysis.dataflow import (
-        analyze_paths,
-        apply_baseline,
-        load_baseline,
-    )
+    # The analyzer (per-file rules, seed-flow, Stage purity,
+    # cross-process hazards, suppression hygiene) reports nothing over
+    # src/repro.  A deliberate keep is a `# repro: noqa[CODE]` comment.
+    from repro.analysis.dataflow import analyze_paths
 
-    baseline_path = SRC.parent.parent / "check_determinism_baseline.json"
-    assert baseline_path.is_file(), f"missing baseline at {baseline_path}"
-    baseline = load_baseline(baseline_path)
-    assert baseline == set(), "the committed baseline must stay empty"
-    result = apply_baseline(analyze_paths([SRC]), baseline)
+    result = analyze_paths([SRC])
     formatted = "\n".join(f.format_text() for f in result.findings)
     assert not result.findings, f"determinism analysis failed:\n{formatted}"
     assert not result.errors, f"unanalyzable files: {result.errors}"
 
 
 def test_dataflow_rule_catalog_complete():
-    from repro.analysis.dataflow import DATAFLOW_RULES
-
-    assert set(DATAFLOW_RULES) == {
+    # The rows the whole-repo passes report (and the syntax error).
+    assert {code for code, rule in RULES.items() if not rule.check} == {
         "RPR010",
         "RPR011",
         "RPR012",
@@ -98,14 +98,21 @@ def _run_python(*args):
     )
 
 
-def test_lint_module_runs_without_runtime_warning():
-    # An eager import of repro.analysis.lint during package import makes
-    # runpy warn under `python -m`; -W error turns that into exit 1.
+def test_analyzer_cli_runs_without_runtime_warning():
+    # The command CI runs; -W error turns a runpy RuntimeWarning (a
+    # module of the package imported before it runs) into exit 1.
     proc = _run_python(
-        "-W", "error::RuntimeWarning", "-m", "repro.analysis.lint", str(SRC)
+        "-W",
+        "error::RuntimeWarning",
+        "-m",
+        "repro.cli",
+        "check-determinism",
+        str(SRC),
     )
     assert proc.returncode == 0, proc.stderr
     assert "clean: 0 findings" in proc.stdout
+    # There is one analyzer: the retired lint entry point is gone.
+    assert _run_python("-m", "repro.analysis.lint", str(SRC)).returncode != 0
 
 
 def test_scenarios_import_leaves_dataflow_engine_unloaded():
