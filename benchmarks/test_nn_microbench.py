@@ -84,7 +84,7 @@ def test_lstm_backward(lstm_layer, benchmark):
 
 def test_cnn_lstm_train_batch(rng, benchmark):
     model = build_cnn_lstm((1, 123, 8), seed=0).compile(
-        "softmax_cross_entropy", nn.Adam(1e-3)
+        nn.SoftmaxCrossEntropy(), nn.Adam(1e-3)
     )
     x = rng.normal(size=(16, 1, 123, 8))
     y = rng.integers(0, 2, 16)

@@ -25,33 +25,28 @@ import numpy as np
 SEQUENCE_LAYERS = frozenset({"LSTM", "GRU", "SimpleRNN", "TemporalAttention"})
 
 #: Expected input rank (excluding batch) per layer class.  Classes not
-#: listed accept any rank (activations, Dropout) or validate themselves
-#: (Reshape, BatchNorm).
+#: listed accept any rank (ReLU, Dropout, Flatten).
 EXPECTED_RANK: Dict[str, Tuple[int, ...]] = {
     "Conv2D": (3,),
     "MaxPool2D": (3,),
-    "AvgPool2D": (3,),
     "ToSequence": (3,),
     "LSTM": (2,),
     "GRU": (2,),
     "SimpleRNN": (2,),
     "TemporalAttention": (2,),
     "Dense": (1,),
-    "BatchNorm": (1, 3),
 }
 
 #: Human-readable input contract per layer class, used in messages.
 RANK_HINT: Dict[str, str] = {
     "Conv2D": "(C, H, W)",
     "MaxPool2D": "(C, H, W)",
-    "AvgPool2D": "(C, H, W)",
     "ToSequence": "(C, H, W)",
     "LSTM": "(T, F)",
     "GRU": "(T, F)",
     "SimpleRNN": "(T, F)",
     "TemporalAttention": "(T, F)",
     "Dense": "(features,)",
-    "BatchNorm": "(F,) or (C, H, W)",
 }
 
 
@@ -192,10 +187,6 @@ def _params_attention(layer, shape: Tuple[int, ...]) -> int:
     return features * a + a + a  # W, b, v
 
 
-def _params_batchnorm(layer, shape: Tuple[int, ...]) -> int:
-    return 2 * int(shape[0])  # gamma + beta over the feature/channel axis
-
-
 PARAM_COUNTERS: Dict[str, Callable] = {
     "Dense": _params_dense,
     "Conv2D": _params_conv2d,
@@ -203,7 +194,6 @@ PARAM_COUNTERS: Dict[str, Callable] = {
     "GRU": _gated_recurrent(3),
     "SimpleRNN": _gated_recurrent(1),
     "TemporalAttention": _params_attention,
-    "BatchNorm": _params_batchnorm,
 }
 
 

@@ -79,13 +79,8 @@ def train_on_maps(
     )
 
     callbacks: List[nn.Callback] = [
-        nn.BestWeights(monitor="accuracy", mode="max"),
-        nn.EarlyStopping(
-            monitor="loss",
-            patience=training.early_stopping_patience,
-            mode="min",
-            restore_best=False,
-        ),
+        nn.BestWeights(),
+        nn.EarlyStopping(patience=training.early_stopping_patience),
     ]
 
     model.fit(
@@ -180,6 +175,6 @@ def fine_tune(
         y,
         epochs=config.epochs,
         batch_size=min(config.batch_size, x.shape[0]),
-        callbacks=[nn.BestWeights(monitor="accuracy", mode="max")],
+        callbacks=[nn.BestWeights()],
     )
     return TrainedModel(model=tuned, normalizer=base.normalizer)

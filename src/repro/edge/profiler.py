@@ -11,7 +11,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..nn.layers import LSTM, AvgPool2D, BatchNorm, Conv2D, Dense, MaxPool2D, SimpleRNN
+from ..nn.layers import LSTM, Conv2D, Dense, MaxPool2D, SimpleRNN
 from ..nn.model import Sequential
 
 
@@ -81,13 +81,11 @@ def _layer_macs(layer, input_shape: Tuple[int, ...], output_shape: Tuple[int, ..
         t, f = input_shape
         h = layer.units
         return t * h * (f + h)
-    if isinstance(layer, (MaxPool2D, AvgPool2D)):
-        # Comparisons/additions, charged as one op per window element.
+    if isinstance(layer, MaxPool2D):
+        # Comparisons, charged as one op per window element.
         c, out_h, out_w = output_shape
         kh, kw = layer.pool_size
         return c * out_h * out_w * kh * kw
-    if isinstance(layer, BatchNorm):
-        return 2 * int(np.prod(input_shape))
     # Activations / reshapes: one op per element (negligible but counted).
     return int(np.prod(output_shape))
 

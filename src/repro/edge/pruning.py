@@ -83,7 +83,7 @@ def prune_model(
 
     Global (cross-layer) magnitude pruning: the threshold is the
     ``sparsity`` quantile of all prunable weight magnitudes.  Biases
-    and normalization parameters are never pruned.
+    are never pruned.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
@@ -94,8 +94,6 @@ def prune_model(
         if src.params:
             dst.zero_grads()
         dst.built = src.built
-        if hasattr(src, "get_state") and hasattr(dst, "set_state"):
-            dst.set_state(src.get_state())
 
     if sparsity == 0.0:
         return pruned

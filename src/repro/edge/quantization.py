@@ -103,16 +103,14 @@ class QuantizedModel:
             raise ValueError(f"unknown scheme {scheme!r}; options: {SCHEMES}")
         self.scheme = scheme
         self.model = model_from_config(model_to_config(model), seed=0)
-        # Copy parameters and non-trainable state directly so the clone
-        # works even when no calibration data is available to build it.
+        # Copy parameters directly so the clone works even when no
+        # calibration data is available to build it.
         for src, dst in zip(model.layers, self.model.layers):
             for key, value in src.params.items():
                 dst.params[key] = value.copy()
             if src.params:
                 dst.zero_grads()
             dst.built = src.built
-            if hasattr(src, "get_state") and hasattr(dst, "set_state"):
-                dst.set_state(src.get_state())
 
         self.activation_ranges: Optional[List[ActivationRange]] = None
         if scheme == "int8":

@@ -132,24 +132,6 @@ class ComputeBackend:
     ) -> np.ndarray:
         raise NotImplementedError
 
-    def avgpool2d_forward(
-        self,
-        x: np.ndarray,
-        pool: Tuple[int, int],
-        stride: Tuple[int, int],
-        state: Dict,
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def avgpool2d_backward(
-        self,
-        grad_out: np.ndarray,
-        pool: Tuple[int, int],
-        stride: Tuple[int, int],
-        state: Dict,
-    ) -> np.ndarray:
-        raise NotImplementedError
-
     # -- recurrent (fused time-step kernels over full sequences) ---------
     def lstm_forward(
         self,

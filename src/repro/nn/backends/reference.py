@@ -218,37 +218,6 @@ class ReferenceBackend(ComputeBackend):
         np.add.at(grad_in, (n_idx, c_idx, rows, cols), grad_out)
         return grad_in
 
-    def avgpool2d_forward(self, x, pool, stride, state):
-        n, c, h, w = x.shape
-        kh, kw = pool
-        sh, sw = stride
-        out_h = conv_output_size(h, kh, sh, 0)
-        out_w = conv_output_size(w, kw, sw, 0)
-        s_n, s_c, s_h, s_w = x.strides
-        view = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(n, c, out_h, out_w, kh, kw),
-            strides=(s_n, s_c, s_h * sh, s_w * sw, s_h, s_w),
-            writeable=False,
-        )
-        state["x_shape"] = x.shape
-        state["out_hw"] = (out_h, out_w)
-        return view.mean(axis=(-2, -1))
-
-    def avgpool2d_backward(self, grad_out, pool, stride, state):
-        x_shape = require_state(state, "x_shape")
-        out_h, out_w = state["out_hw"]
-        kh, kw = pool
-        sh, sw = stride
-        grad_in = np.zeros(x_shape, dtype=grad_out.dtype)
-        scale = 1.0 / (kh * kw)
-        for i in range(kh):
-            for j in range(kw):
-                grad_in[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += (
-                    grad_out * scale
-                )
-        return grad_in
-
     # -- LSTM ------------------------------------------------------------
     def lstm_forward(self, x, w, u, b, state):
         n, t, _ = x.shape

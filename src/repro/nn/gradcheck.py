@@ -12,7 +12,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .layers.base import Layer
-from .losses import Loss
+from .losses import SoftmaxCrossEntropy
 from .model import Sequential
 
 
@@ -86,7 +86,7 @@ def check_model_gradients(
     model: Sequential,
     x: np.ndarray,
     y: np.ndarray,
-    loss: Loss,
+    loss: SoftmaxCrossEntropy,
     eps: float = 1e-6,
 ) -> Dict[Tuple[str, str], float]:
     """End-to-end gradient check through an entire Sequential model."""

@@ -1,19 +1,17 @@
 """Weight initialization schemes for the numpy neural-network substrate.
 
-Every initializer is a callable ``(shape, rng) -> np.ndarray`` so layers
-can stay agnostic of the scheme.  Schemes follow the standard literature:
-Glorot/Xavier (Glorot & Bengio, 2010) for tanh/sigmoid-style layers,
-He (He et al., 2015) for ReLU-style layers, and orthogonal
-(Saxe et al., 2014) for recurrent kernels.
+Each initializer is a function ``(shape, rng) -> np.ndarray``, and each
+layer calls its one scheme directly: Glorot/Xavier (Glorot & Bengio,
+2010) for dense, recurrent-input and attention kernels, He (He et al.,
+2015) for the ReLU-fed convolutions, and orthogonal (Saxe et al., 2014)
+for recurrent kernels; :func:`zeros` for biases.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-
-Initializer = Callable[[Tuple[int, ...], np.random.Generator], np.ndarray]
 
 
 def _fan_in_out(shape: Sequence[int]) -> Tuple[int, int]:
@@ -42,43 +40,6 @@ def zeros(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return np.zeros(shape, dtype=np.float64)
 
 
-def ones(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """All-ones tensor; used for BatchNorm scale parameters."""
-    del rng
-    return np.ones(shape, dtype=np.float64)
-
-
-def constant(value: float) -> Initializer:
-    """Return an initializer filling the tensor with ``value``.
-
-    Useful for LSTM forget-gate bias (commonly 1.0).
-    """
-
-    def _init(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        del rng
-        return np.full(shape, float(value), dtype=np.float64)
-
-    return _init
-
-
-def uniform(low: float = -0.05, high: float = 0.05) -> Initializer:
-    """Uniform initializer over ``[low, high)``."""
-
-    def _init(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(low, high, size=shape).astype(np.float64)
-
-    return _init
-
-
-def normal(mean: float = 0.0, std: float = 0.05) -> Initializer:
-    """Gaussian initializer with the given mean and standard deviation."""
-
-    def _init(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(mean, std, size=shape).astype(np.float64)
-
-    return _init
-
-
 def glorot_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Glorot/Xavier uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
     fan_in, fan_out = _fan_in_out(shape)
@@ -86,25 +47,11 @@ def glorot_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape).astype(np.float64)
 
 
-def glorot_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal: N(0, 2 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(np.float64)
-
-
 def he_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He uniform: U(-a, a) with a = sqrt(6 / fan_in); suited to ReLU."""
     fan_in, _ = _fan_in_out(shape)
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape).astype(np.float64)
-
-
-def he_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He normal: N(0, 2 / fan_in); suited to ReLU."""
-    fan_in, _ = _fan_in_out(shape)
-    std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape).astype(np.float64)
 
 
 def orthogonal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -126,25 +73,3 @@ def orthogonal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         q = q.T
     return q[:rows, :cols].reshape(shape).astype(np.float64)
 
-
-_REGISTRY = {
-    "zeros": zeros,
-    "ones": ones,
-    "glorot_uniform": glorot_uniform,
-    "glorot_normal": glorot_normal,
-    "he_uniform": he_uniform,
-    "he_normal": he_normal,
-    "orthogonal": orthogonal,
-}
-
-
-def get(name_or_fn) -> Initializer:
-    """Resolve an initializer from a name or pass a callable through."""
-    if callable(name_or_fn):
-        return name_or_fn
-    try:
-        return _REGISTRY[name_or_fn]
-    except KeyError:
-        raise ValueError(
-            f"Unknown initializer {name_or_fn!r}; known: {sorted(_REGISTRY)}"
-        ) from None

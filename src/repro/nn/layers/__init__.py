@@ -1,15 +1,14 @@
-"""Layer zoo for the numpy neural-network substrate."""
+"""The layers of the paper's CNN-LSTM and its architecture ablation."""
 
-from .activation_layers import ELU, LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
+from .activation_layers import ReLU
 from .attention import TemporalAttention
 from .base import Layer
-from .conv import AvgPool2D, Conv2D, MaxPool2D
+from .conv import Conv2D, MaxPool2D
 from .dense import Dense
 from .dropout import Dropout
 from .gru import GRU
-from .norm import BatchNorm
 from .recurrent import LSTM, SimpleRNN
-from .reshape import Flatten, Reshape, ToSequence
+from .reshape import Flatten, ToSequence
 
 LAYER_REGISTRY = {
     cls.__name__: cls
@@ -17,22 +16,14 @@ LAYER_REGISTRY = {
         Dense,
         Conv2D,
         MaxPool2D,
-        AvgPool2D,
         LSTM,
         GRU,
         SimpleRNN,
         TemporalAttention,
         Dropout,
-        BatchNorm,
         Flatten,
-        Reshape,
         ToSequence,
         ReLU,
-        LeakyReLU,
-        ELU,
-        Sigmoid,
-        Tanh,
-        Softmax,
     )
 }
 
@@ -41,21 +32,13 @@ __all__ = [
     "Dense",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
     "LSTM",
     "GRU",
     "SimpleRNN",
     "TemporalAttention",
     "Dropout",
-    "BatchNorm",
     "Flatten",
-    "Reshape",
     "ToSequence",
     "ReLU",
-    "LeakyReLU",
-    "ELU",
-    "Sigmoid",
-    "Tanh",
-    "Softmax",
     "LAYER_REGISTRY",
 ]

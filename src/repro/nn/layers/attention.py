@@ -13,8 +13,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .. import initializers
 from ..activations import softmax, tanh
+from ..initializers import glorot_uniform
 from .base import Layer
 
 
@@ -30,19 +30,13 @@ class TemporalAttention(Layer):
         Width of the scoring network's hidden layer.
     """
 
-    def __init__(
-        self,
-        attention_units: int = 16,
-        kernel_init="glorot_uniform",
-        name: Optional[str] = None,
-    ):
+    def __init__(self, attention_units: int = 16, name: Optional[str] = None):
         super().__init__(name=name)
         if attention_units <= 0:
             raise ValueError(
                 f"attention_units must be positive, got {attention_units}"
             )
         self.attention_units = int(attention_units)
-        self.kernel_init = initializers.get(kernel_init)
 
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
         if len(input_shape) != 2:
@@ -51,9 +45,9 @@ class TemporalAttention(Layer):
             )
         features = int(input_shape[1])
         a = self.attention_units
-        self.params["W"] = self.kernel_init((features, a), rng)
+        self.params["W"] = glorot_uniform((features, a), rng)
         self.params["b"] = np.zeros(a, dtype=np.float64)
-        self.params["v"] = self.kernel_init((a,), rng)
+        self.params["v"] = glorot_uniform((a,), rng)
         self.zero_grads()
         self.built = True
 

@@ -1,4 +1,4 @@
-"""2D convolution and pooling layers (NCHW layout) built on im2col.
+"""2D convolution and max-pooling layers (NCHW layout) built on im2col.
 
 im2col turns convolution into a single large matrix multiply, which is
 the standard trick for getting acceptable performance from a pure-numpy
@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from ...errors import PaddingError
-from .. import initializers
+from ..initializers import he_uniform, zeros
 from ..backends.base import PadPairs
 from ..backends.reference import (  # noqa: F401  (re-exported API)
     col2im,
@@ -118,8 +118,6 @@ class Conv2D(Layer):
         stride=1,
         padding: PadSpec = "same",
         use_bias: bool = True,
-        kernel_init="he_uniform",
-        bias_init="zeros",
         name: Optional[str] = None,
     ):
         super().__init__(name=name)
@@ -141,8 +139,6 @@ class Conv2D(Layer):
         else:
             self.pad = resolve_padding(padding, self.kernel_size, self.stride)
         self.use_bias = bool(use_bias)
-        self.kernel_init = initializers.get(kernel_init)
-        self.bias_init = initializers.get(bias_init)
 
     def _pad_pairs(self, h: int, w: int) -> PadPairs:
         """Per-side pads for a concrete (h, w) input."""
@@ -159,9 +155,9 @@ class Conv2D(Layer):
             raise ValueError(f"Conv2D expects (C, H, W) inputs, got {input_shape}")
         in_channels = int(input_shape[0])
         kh, kw = self.kernel_size
-        self.params["W"] = self.kernel_init((self.filters, in_channels, kh, kw), rng)
+        self.params["W"] = he_uniform((self.filters, in_channels, kh, kw), rng)
         if self.use_bias:
-            self.params["b"] = self.bias_init((self.filters,), rng)
+            self.params["b"] = zeros((self.filters,), rng)
         self.zero_grads()
         self.built = True
 
@@ -224,38 +220,6 @@ class MaxPool2D(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return self.backend.maxpool2d_backward(
-            grad_out, self.pool_size, self.stride, self._backend_state
-        )
-
-    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        c, h, w = input_shape
-        out_h = conv_output_size(h, self.pool_size[0], self.stride[0], 0)
-        out_w = conv_output_size(w, self.pool_size[1], self.stride[1], 0)
-        return (c, out_h, out_w)
-
-    def get_config(self) -> Dict:
-        return {
-            "name": self.name,
-            "pool_size": list(self.pool_size),
-            "stride": list(self.stride),
-        }
-
-
-class AvgPool2D(Layer):
-    """Average pooling over NCHW inputs."""
-
-    def __init__(self, pool_size=2, stride=None, name: Optional[str] = None):
-        super().__init__(name=name)
-        self.pool_size = _pair(pool_size)
-        self.stride = _pair(stride) if stride is not None else self.pool_size
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.backend.avgpool2d_forward(
-            x, self.pool_size, self.stride, self._backend_state
-        )
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self.backend.avgpool2d_backward(
             grad_out, self.pool_size, self.stride, self._backend_state
         )
 

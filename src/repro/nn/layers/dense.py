@@ -6,7 +6,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .. import initializers
+from ..initializers import glorot_uniform, zeros
 from .base import Layer
 
 
@@ -19,16 +19,12 @@ class Dense(Layer):
         Output dimensionality.
     use_bias:
         Whether to add the learned bias ``b``.
-    kernel_init, bias_init:
-        Initializer names or callables (see :mod:`repro.nn.initializers`).
     """
 
     def __init__(
         self,
         units: int,
         use_bias: bool = True,
-        kernel_init="glorot_uniform",
-        bias_init="zeros",
         name: Optional[str] = None,
     ):
         super().__init__(name=name)
@@ -36,8 +32,6 @@ class Dense(Layer):
             raise ValueError(f"units must be positive, got {units}")
         self.units = int(units)
         self.use_bias = bool(use_bias)
-        self.kernel_init = initializers.get(kernel_init)
-        self.bias_init = initializers.get(bias_init)
 
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
         if len(input_shape) != 1:
@@ -45,9 +39,9 @@ class Dense(Layer):
                 f"Dense expects flat inputs of shape (features,), got {input_shape}"
             )
         in_features = int(input_shape[0])
-        self.params["W"] = self.kernel_init((in_features, self.units), rng)
+        self.params["W"] = glorot_uniform((in_features, self.units), rng)
         if self.use_bias:
-            self.params["b"] = self.bias_init((self.units,), rng)
+            self.params["b"] = zeros((self.units,), rng)
         self.zero_grads()
         self.built = True
 

@@ -12,7 +12,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .. import initializers
+from ..initializers import glorot_uniform, orthogonal
 from .base import Layer
 
 
@@ -23,8 +23,6 @@ class GRU(Layer):
         self,
         units: int,
         return_sequences: bool = False,
-        kernel_init="glorot_uniform",
-        recurrent_init="orthogonal",
         name: Optional[str] = None,
     ):
         super().__init__(name=name)
@@ -32,16 +30,14 @@ class GRU(Layer):
             raise ValueError(f"units must be positive, got {units}")
         self.units = int(units)
         self.return_sequences = bool(return_sequences)
-        self.kernel_init = initializers.get(kernel_init)
-        self.recurrent_init = initializers.get(recurrent_init)
 
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
         if len(input_shape) != 2:
             raise ValueError(f"GRU expects (T, F) inputs, got {input_shape}")
         features = int(input_shape[1])
         h = self.units
-        self.params["W"] = self.kernel_init((features, 3 * h), rng)
-        self.params["U"] = self.recurrent_init((h, 3 * h), rng)
+        self.params["W"] = glorot_uniform((features, 3 * h), rng)
+        self.params["U"] = orthogonal((h, 3 * h), rng)
         self.params["b"] = np.zeros(3 * h, dtype=np.float64)
         self.zero_grads()
         self.built = True

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .. import initializers
+from ..initializers import glorot_uniform, orthogonal
 from .base import Layer
 
 
@@ -38,8 +38,6 @@ class LSTM(Layer):
         self,
         units: int,
         return_sequences: bool = False,
-        kernel_init="glorot_uniform",
-        recurrent_init="orthogonal",
         name: Optional[str] = None,
     ):
         super().__init__(name=name)
@@ -47,16 +45,14 @@ class LSTM(Layer):
             raise ValueError(f"units must be positive, got {units}")
         self.units = int(units)
         self.return_sequences = bool(return_sequences)
-        self.kernel_init = initializers.get(kernel_init)
-        self.recurrent_init = initializers.get(recurrent_init)
 
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
         if len(input_shape) != 2:
             raise ValueError(f"LSTM expects (T, F) inputs, got {input_shape}")
         features = int(input_shape[1])
         h = self.units
-        self.params["W"] = self.kernel_init((features, 4 * h), rng)
-        self.params["U"] = self.recurrent_init((h, 4 * h), rng)
+        self.params["W"] = glorot_uniform((features, 4 * h), rng)
+        self.params["U"] = orthogonal((h, 4 * h), rng)
         bias = np.zeros(4 * h, dtype=np.float64)
         bias[h : 2 * h] = 1.0  # forget gate bias
         self.params["b"] = bias
@@ -111,8 +107,6 @@ class SimpleRNN(Layer):
         self,
         units: int,
         return_sequences: bool = False,
-        kernel_init="glorot_uniform",
-        recurrent_init="orthogonal",
         name: Optional[str] = None,
     ):
         super().__init__(name=name)
@@ -120,15 +114,13 @@ class SimpleRNN(Layer):
             raise ValueError(f"units must be positive, got {units}")
         self.units = int(units)
         self.return_sequences = bool(return_sequences)
-        self.kernel_init = initializers.get(kernel_init)
-        self.recurrent_init = initializers.get(recurrent_init)
 
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
         if len(input_shape) != 2:
             raise ValueError(f"SimpleRNN expects (T, F) inputs, got {input_shape}")
         features = int(input_shape[1])
-        self.params["W"] = self.kernel_init((features, self.units), rng)
-        self.params["U"] = self.recurrent_init((self.units, self.units), rng)
+        self.params["W"] = glorot_uniform((features, self.units), rng)
+        self.params["U"] = orthogonal((self.units, self.units), rng)
         self.params["b"] = np.zeros(self.units, dtype=np.float64)
         self.zero_grads()
         self.built = True

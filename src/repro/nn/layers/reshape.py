@@ -1,8 +1,8 @@
-"""Shape-manipulation layers: Flatten, Reshape, and the CNN→LSTM bridge."""
+"""Shape-manipulation layers: Flatten and the CNN→LSTM bridge."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -23,33 +23,6 @@ class Flatten(Layer):
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return (int(np.prod(input_shape)),)
-
-
-class Reshape(Layer):
-    """Reshape non-batch dimensions to ``target_shape``."""
-
-    def __init__(self, target_shape: Tuple[int, ...], name: Optional[str] = None):
-        super().__init__(name=name)
-        self.target_shape = tuple(int(s) for s in target_shape)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._backend_state["x_shape"] = x.shape
-        return x.reshape((x.shape[0],) + self.target_shape)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if "x_shape" not in self._backend_state:
-            raise RuntimeError("backward called before forward")
-        return grad_out.reshape(self._backend_state["x_shape"])
-
-    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        if int(np.prod(input_shape)) != int(np.prod(self.target_shape)):
-            raise ValueError(
-                f"cannot reshape {input_shape} into {self.target_shape}"
-            )
-        return self.target_shape
-
-    def get_config(self) -> Dict:
-        return {"name": self.name, "target_shape": list(self.target_shape)}
 
 
 class ToSequence(Layer):

@@ -6,12 +6,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import losses as losses_mod
-from . import optimizers as optim_mod
 from .backends import ComputeBackend
-from .callbacks import Callback, EpochLogger, History
+from .callbacks import Callback, History
 from .layers.base import RUNTIME_BACKEND, Layer
+from .losses import SoftmaxCrossEntropy
 from .metrics import accuracy
+from .optimizers import Adam
 
 
 def iterate_minibatches(
@@ -63,8 +63,8 @@ class Sequential:
         for layer in layers or []:
             self.add(layer)
         self.rng = np.random.default_rng(seed)
-        self.loss: Optional[losses_mod.Loss] = None
-        self.optimizer: Optional[optim_mod.Optimizer] = None
+        self.loss: Optional[SoftmaxCrossEntropy] = None
+        self.optimizer: Optional[Adam] = None
         self.history = History()
         self.stop_training = False
 
@@ -93,14 +93,10 @@ class Sequential:
         self.layers.append(layer)
         return self
 
-    def compile(
-        self,
-        loss: Union[str, losses_mod.Loss] = "softmax_cross_entropy",
-        optimizer: Union[str, optim_mod.Optimizer] = "adam",
-    ) -> "Sequential":
+    def compile(self, loss: SoftmaxCrossEntropy, optimizer: Adam) -> "Sequential":
         """Attach a loss and optimizer; returns self for chaining."""
-        self.loss = losses_mod.get(loss)
-        self.optimizer = optim_mod.get(optimizer)
+        self.loss = loss
+        self.optimizer = optimizer
         return self
 
     def validate(self, input_shape: Tuple[int, ...], dtype: str = "float64"):
@@ -209,7 +205,6 @@ class Sequential:
         epochs: int = 10,
         batch_size: int = 32,
         callbacks: Optional[Iterable[Callback]] = None,
-        verbose: bool = False,
     ) -> History:
         """Mini-batch training loop with callbacks.
 
@@ -227,12 +222,7 @@ class Sequential:
         if x.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
 
-        callbacks = list(callbacks) if callbacks else []
-        if verbose:
-            # verbose=True is sugar for attaching the logging callback;
-            # progress goes through the "repro.nn" logger, never print().
-            callbacks.append(EpochLogger(total_epochs=epochs))
-        all_callbacks: List[Callback] = [self.history] + callbacks
+        all_callbacks: List[Callback] = [self.history] + list(callbacks or [])
         self.stop_training = False
         for cb in all_callbacks:
             cb.on_train_begin(self)
@@ -306,18 +296,14 @@ class Sequential:
                 if layer.name in wanted:
                     layer.freeze()
 
-    def unfreeze_all(self) -> None:
-        for layer in self.layers:
-            layer.unfreeze()
-
     # -- introspection ----------------------------------------------------
     @property
     def num_params(self) -> int:
         return sum(layer.num_params for layer in self.layers)
 
     def __repro_content__(self) -> Dict[str, np.ndarray]:
-        """Digest content: what a checkpoint stores (config, params,
-        layer state), not training flags or per-call caches."""
+        """Digest content: what a checkpoint stores (config and params),
+        not training flags or per-call caches."""
         # Imported lazily: repro.nn.checkpoint imports this module.
         from .checkpoint import model_arrays
 

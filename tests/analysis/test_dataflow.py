@@ -286,8 +286,8 @@ class TestEngine:
             f.line for f in parallel.findings
         ]
 
-    def test_src_tree_is_clean(self):
-        result = analyze_paths([SRC])
+    def test_src_tree_is_clean(self, src_analysis):
+        result = src_analysis
         formatted = "\n".join(f.format_text() for f in result.findings)
         assert not result.findings, formatted
         assert not result.errors

@@ -2,7 +2,7 @@
 
 Beyond the per-layer contract matrix in test_shapes.py: zero-length and
 rank-0 shapes, dtype propagation through mixed-precision chains, and the
-Reshape/attention interactions that the CNN-LSTM variants exercise.
+reshape-layer/attention interactions that the CNN-LSTM variants exercise.
 """
 
 import pytest
@@ -16,14 +16,6 @@ class TestZeroLengthDims:
     def test_zero_input_dim_rejected_before_any_layer(self):
         with pytest.raises(GraphValidationError, match="zero/negative"):
             trace_layers([nn.Dense(4)], (3, 0, 5))
-
-    def test_reshape_to_zero_size_rejected_with_layer_context(self):
-        with pytest.raises(GraphValidationError) as excinfo:
-            trace_layers([nn.Reshape((0, 4))], (8,))
-        err = excinfo.value
-        assert err.layer_index == 0
-        assert err.layer_class == "Reshape"
-        assert err.input_shape == (8,)
 
     def test_zero_dim_mid_stack_names_producing_layer(self):
         # 3x3 kernel over a 4-row map leaves 2 rows; a second conv of the
@@ -49,13 +41,6 @@ class TestZeroLengthDims:
         with pytest.raises(GraphValidationError, match="rank 0"):
             trace_layers([nn.Dense(4)], ())
 
-    def test_reshape_roundtrip_through_rank0(self):
-        # (1,) -> () -> (1,): both sides have size 1, so the tracer must
-        # accept the collapse and the restoration symmetrically.
-        report = trace_layers([nn.Reshape(()), nn.Reshape((1,))], (1,))
-        assert report.layers[0].output_shape == ()
-        assert report.output_shape == (1,)
-
 
 class TestMixedPrecisionPropagation:
     def test_int8_promoted_by_conv_with_warning(self):
@@ -68,16 +53,16 @@ class TestMixedPrecisionPropagation:
     def test_float16_cast_once_at_the_model_input(self):
         # The model casts its input to the backend's compute dtype, so no
         # layer, parametric or not, ever sees float16.
-        layers = [nn.Reshape((6, 2)), nn.Flatten(), nn.Dropout(0.1), nn.ReLU()]
-        report = trace_layers(layers, (12,), dtype="float16")
+        layers = [nn.Flatten(), nn.Dropout(0.1), nn.ReLU()]
+        report = trace_layers(layers, (6, 2), dtype="float16")
         assert all(rep.input_dtype == "float64" for rep in report.layers)
         assert all(rep.output_dtype == "float64" for rep in report.layers)
         (warning,) = report.warnings
         assert "model input casts float16" in warning
 
     def test_float32_survives_parametric_layers(self):
-        layers = [nn.Reshape((6, 2)), nn.TemporalAttention(4), nn.Dense(3)]
-        report = trace_layers(layers, (12,), dtype="float32")
+        layers = [nn.TemporalAttention(4), nn.Dense(3)]
+        report = trace_layers(layers, (6, 2), dtype="float32")
         assert all(rep.output_dtype == "float32" for rep in report.layers)
         assert report.warnings == ()
 
@@ -98,7 +83,7 @@ class TestMixedPrecisionPropagation:
     def test_mixed_precision_report_records_both_dtypes_per_layer(self):
         # The report keeps the caller's input dtype next to the dtype
         # each layer computes in.
-        report = trace_layers([nn.Reshape((2, 2)), nn.LSTM(3)], (4,), dtype="float16")
+        report = trace_layers([nn.ReLU(), nn.LSTM(3)], (2, 2), dtype="float16")
         lstm = report.layers[1]
         assert (lstm.input_dtype, lstm.output_dtype) == ("float64", "float64")
         as_dict = report.to_dict()
@@ -106,47 +91,30 @@ class TestMixedPrecisionPropagation:
         assert as_dict["layers"][1]["input_dtype"] == "float64"
 
     def test_float64_chain_stays_silent(self):
-        layers = [nn.Dense(8), nn.Reshape((2, 4)), nn.TemporalAttention(4)]
-        report = trace_layers(layers, (16,))
+        layers = [nn.Conv2D(2, 1), nn.ToSequence(), nn.TemporalAttention(4)]
+        report = trace_layers(layers, (1, 2, 2))
         assert report.warnings == ()
         assert report.output_shape == (4,)
 
 
 class TestReshapeAttentionInteractions:
     def test_reshape_builds_sequence_for_attention(self):
-        report = trace_layers(
-            [nn.Reshape((6, 2)), nn.TemporalAttention(4)], (12,)
-        )
+        report = trace_layers([nn.ToSequence(), nn.TemporalAttention(4)], (1, 2, 6))
         assert report.layers[0].output_shape == (6, 2)
         # Attention pools (T, F) -> (F,).
         assert report.output_shape == (2,)
 
     def test_attention_param_count_from_reshaped_features(self):
-        report = trace_layers(
-            [nn.Reshape((3, 4)), nn.TemporalAttention(5)], (12,)
-        )
+        report = trace_layers([nn.ToSequence(), nn.TemporalAttention(5)], (1, 4, 3))
         # W: F*A, b: A, v: A  with F=4, A=5.
         assert report.layers[1].params == 4 * 5 + 5 + 5
 
-    def test_reshape_restores_sequence_after_flatten(self):
-        # Flatten -> Reshape -> LSTM is legal: the recurrent-after-
-        # flatten diagnostic keys on rank, not layer history.
-        layers = [nn.Flatten(), nn.Reshape((4, 3)), nn.LSTM(2)]
-        report = trace_layers(layers, (2, 2, 3))
-        assert report.output_shape == (2,)
-
     def test_reshape_to_rank1_then_attention_gets_sequence_hint(self):
-        layers = [nn.Reshape((12,)), nn.TemporalAttention(4)]
+        layers = [nn.Flatten(), nn.TemporalAttention(4)]
         with pytest.raises(GraphValidationError) as excinfo:
             trace_layers(layers, (6, 2))
         assert "cannot follow a flattening layer" in str(excinfo.value)
         assert excinfo.value.layer_index == 1
-
-    def test_reshape_size_mismatch_reports_both_shapes(self):
-        with pytest.raises(GraphValidationError) as excinfo:
-            trace_layers([nn.Reshape((5, 2))], (12,))
-        message = str(excinfo.value)
-        assert "(12,)" in message and "(5, 2)" in message
 
     def test_attention_after_recurrent_sequences(self):
         layers = [nn.LSTM(6, return_sequences=True), nn.TemporalAttention(4)]

@@ -1,9 +1,22 @@
-"""Shared fixtures: session-scoped synthetic corpora (expensive to build)."""
+"""Shared fixtures: session-scoped synthetic corpora and the analysis of
+``src/repro`` (expensive to build)."""
+
+from pathlib import Path
 
 import pytest
 
 from repro.datasets import WEMACConfig
 from repro.scenarios import WEMACScenario
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+@pytest.fixture(scope="session")
+def src_analysis():
+    """The static analyzer's result over all of ``src/repro``, run once."""
+    from repro.analysis.dataflow import analyze_paths
+
+    return analyze_paths([SRC])
 
 
 @pytest.fixture(scope="session")

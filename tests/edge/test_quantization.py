@@ -78,7 +78,7 @@ class TestCalibration:
 
 class TestQuantizedModel:
     def _trained(self, rng):
-        model = small_model().compile(optimizer=nn.Adam(0.05))
+        model = small_model().compile(nn.SoftmaxCrossEntropy(), nn.Adam(0.05))
         x = rng.normal(size=(64, 8))
         y = (x.sum(axis=1) > 0).astype(int)
         model.fit(x, y, epochs=20, batch_size=16)

@@ -16,36 +16,6 @@ class TestReLU:
         np.testing.assert_array_equal(F.relu(x), [0, 0, 0, 0.5, 2.0])
 
 
-class TestLeakyReLU:
-    def test_negative_slope(self):
-        x = np.array([-1.0, 1.0])
-        np.testing.assert_allclose(F.leaky_relu(x, 0.1), [-0.1, 1.0])
-
-    def test_grad_matches_numeric(self):
-        x = np.linspace(-3, 3, 41)
-        x = x[np.abs(x) > 1e-3]
-        np.testing.assert_allclose(
-            F.leaky_relu_grad(x, 0.2),
-            numeric_derivative(lambda v: F.leaky_relu(v, 0.2), x),
-            atol=1e-6,
-        )
-
-
-class TestELU:
-    def test_continuity_at_zero(self):
-        assert abs(F.elu(np.array([1e-10]))[0]) < 1e-9
-
-    def test_grad_matches_numeric(self):
-        x = np.linspace(-3, 3, 41)
-        x = x[np.abs(x) > 1e-3]
-        np.testing.assert_allclose(
-            F.elu_grad(x), numeric_derivative(F.elu, x), atol=1e-5
-        )
-
-    def test_saturates_to_minus_alpha(self):
-        assert F.elu(np.array([-50.0]), alpha=1.5)[0] == pytest.approx(-1.5)
-
-
 class TestSigmoid:
     def test_range_and_symmetry(self):
         x = np.linspace(-10, 10, 101)
@@ -58,22 +28,6 @@ class TestSigmoid:
         assert np.all(np.isfinite(y))
         assert y[0] == pytest.approx(0.0, abs=1e-12)
         assert y[1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_grad_from_output(self):
-        x = np.linspace(-4, 4, 33)
-        numeric = numeric_derivative(F.sigmoid, x)
-        np.testing.assert_allclose(
-            F.sigmoid_grad_from_output(F.sigmoid(x)), numeric, atol=1e-6
-        )
-
-
-class TestTanh:
-    def test_grad_from_output(self):
-        x = np.linspace(-3, 3, 33)
-        numeric = numeric_derivative(F.tanh, x)
-        np.testing.assert_allclose(
-            F.tanh_grad_from_output(F.tanh(x)), numeric, atol=1e-6
-        )
 
 
 class TestSoftmax:

@@ -96,7 +96,7 @@ class TestIntegration:
                 nn.Dense(2),
             ],
             seed=0,
-        ).compile(optimizer=nn.Adam(0.02))
+        ).compile(nn.SoftmaxCrossEntropy(), nn.Adam(0.02))
         model.fit(x, y, epochs=60, batch_size=16)
         assert model.evaluate(x, y)["accuracy"] > 0.85
 

@@ -23,14 +23,18 @@ def rng():
 class TestHistory:
     def test_series_extraction(self, rng):
         x, y = make_blobs(rng)
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile()
+        model = nn.Sequential([nn.Dense(2)], seed=0).compile(
+            nn.SoftmaxCrossEntropy(), nn.Adam()
+        )
         history = model.fit(x, y, epochs=4)
         assert len(history.series("loss")) == 4
         assert history.series("nonexistent") == []
 
     def test_history_resets_between_fits(self, rng):
         x, y = make_blobs(rng)
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile()
+        model = nn.Sequential([nn.Dense(2)], seed=0).compile(
+            nn.SoftmaxCrossEntropy(), nn.Adam()
+        )
         model.fit(x, y, epochs=3)
         model.fit(x, y, epochs=2)
         assert len(model.history.epochs) == 2

@@ -1,5 +1,7 @@
 """Tests for model checkpointing (save/load roundtrips + corruption)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro import nn
 from repro.errors import CheckpointError, ResilienceError
 from repro.nn.checkpoint import (
     CHECKSUM_KEY,
+    CONFIG_KEY,
     compute_checksum,
     model_from_config,
     model_to_config,
@@ -52,7 +55,7 @@ class TestConfigRoundtrip:
 
 class TestSaveLoad:
     def test_predictions_identical_after_roundtrip(self, rng, tmp_path):
-        model = make_cnn_lstm().compile("softmax_cross_entropy", nn.Adam(0.01))
+        model = make_cnn_lstm().compile(nn.SoftmaxCrossEntropy(), nn.Adam(0.01))
         x = rng.normal(size=(6, 1, 12, 8))
         y = rng.integers(0, 2, 6)
         model.fit(x, y, epochs=3, batch_size=4)
@@ -64,29 +67,36 @@ class TestSaveLoad:
         np.testing.assert_allclose(loaded.predict(x), before, atol=1e-12)
 
     def test_loaded_model_can_finetune(self, rng, tmp_path):
-        model = make_cnn_lstm().compile("softmax_cross_entropy", nn.Adam(0.01))
+        model = make_cnn_lstm().compile(nn.SoftmaxCrossEntropy(), nn.Adam(0.01))
         x = rng.normal(size=(8, 1, 12, 8))
         y = (x.mean(axis=(1, 2, 3)) > 0).astype(int)
         model.fit(x, y, epochs=2, batch_size=4)
         nn.save_model(model, tmp_path / "ckpt.npz")
 
         loaded = nn.load_model(tmp_path / "ckpt.npz")
-        loaded.compile("softmax_cross_entropy", nn.Adam(0.01))
+        loaded.compile(nn.SoftmaxCrossEntropy(), nn.Adam(0.01))
         history = loaded.fit(x, y, epochs=3, batch_size=4)
         assert len(history.epochs) == 3
 
-    def test_batchnorm_running_stats_survive(self, rng, tmp_path):
-        model = nn.Sequential(
-            [nn.Dense(4, name="d"), nn.BatchNorm(name="bn"), nn.Dense(2)], seed=0
-        ).compile(optimizer=nn.Adam(0.05))
-        x = rng.normal(loc=3.0, size=(32, 3))
-        y = rng.integers(0, 2, 32)
-        model.fit(x, y, epochs=5, batch_size=8)
-        before = model.predict(x)
-
-        nn.save_model(model, tmp_path / "bn.npz")
-        loaded = nn.load_model(tmp_path / "bn.npz")
-        np.testing.assert_allclose(loaded.predict(x), before, atol=1e-12)
+    def test_batchnorm_checkpoint_rejected(self, tmp_path):
+        """A checksum-valid checkpoint naming a layer class this package
+        does not have (BatchNorm, with its running-stat state entries)
+        fails with a typed error, not a half-loaded model."""
+        config = {"layers": [{"class": "BatchNorm", "config": {"name": "bn"}}]}
+        arrays = {
+            CONFIG_KEY: np.frombuffer(json.dumps(config).encode(), dtype=np.uint8),
+            "param/0/gamma": np.ones(4),
+            "param/0/beta": np.zeros(4),
+            "state/0/running_mean": np.zeros(4),
+            "state/0/running_var": np.ones(4),
+        }
+        arrays[CHECKSUM_KEY] = np.frombuffer(
+            compute_checksum(arrays).encode("ascii"), dtype=np.uint8
+        )
+        path = tmp_path / "bn.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match="unknown layer class"):
+            nn.load_model(path)
 
     def test_suffix_appended(self, tmp_path):
         model = nn.Sequential([nn.Dense(2)])

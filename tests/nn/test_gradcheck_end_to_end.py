@@ -40,9 +40,9 @@ def test_full_cnn_lstm_gradients(rng):
         assert err < 1e-4, f"{layer}.{key}: relative error {err}"
 
 
-def test_dense_batchnorm_stack_gradients(rng):
+def test_dense_stack_gradients(rng):
     model = nn.Sequential(
-        [nn.Dense(5, name="d1"), nn.BatchNorm(name="bn"), nn.Tanh(), nn.Dense(3)],
+        [nn.Dense(5, name="d1"), nn.ReLU(), nn.Dense(3)],
         seed=2,
     )
     x = rng.normal(size=(6, 4))

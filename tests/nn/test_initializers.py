@@ -34,24 +34,6 @@ class TestBasicInitializers:
         assert w.shape == (3, 4)
         assert np.all(w == 0.0)
 
-    def test_ones(self, rng):
-        w = init.ones((2, 2), rng)
-        assert np.all(w == 1.0)
-
-    def test_constant(self, rng):
-        w = init.constant(1.5)((4,), rng)
-        assert np.all(w == 1.5)
-
-    def test_uniform_bounds(self, rng):
-        w = init.uniform(-0.1, 0.1)((1000,), rng)
-        assert w.min() >= -0.1
-        assert w.max() < 0.1
-
-    def test_normal_moments(self, rng):
-        w = init.normal(0.0, 0.5)((20000,), rng)
-        assert abs(w.mean()) < 0.02
-        assert abs(w.std() - 0.5) < 0.02
-
 
 class TestGlorotHe:
     def test_glorot_uniform_limit(self, rng):
@@ -59,19 +41,14 @@ class TestGlorotHe:
         limit = np.sqrt(6.0 / 300)
         assert np.abs(w).max() <= limit
 
-    def test_glorot_normal_std(self, rng):
-        w = init.glorot_normal((500, 500), rng)
-        expected = np.sqrt(2.0 / 1000)
-        assert abs(w.std() - expected) / expected < 0.05
-
-    def test_he_normal_std(self, rng):
-        w = init.he_normal((400, 100), rng)
-        expected = np.sqrt(2.0 / 400)
-        assert abs(w.std() - expected) / expected < 0.1
-
     def test_he_uniform_limit(self, rng):
         w = init.he_uniform((64, 32), rng)
         assert np.abs(w).max() <= np.sqrt(6.0 / 64)
+
+    def test_determinism_same_seed(self):
+        a = init.glorot_uniform((5, 5), np.random.default_rng(7))
+        b = init.glorot_uniform((5, 5), np.random.default_rng(7))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestOrthogonal:
@@ -94,21 +71,3 @@ class TestOrthogonal:
         # 16 x 36: rows orthonormal
         np.testing.assert_allclose(flat @ flat.T, np.eye(16), atol=1e-10)
 
-
-class TestRegistry:
-    def test_get_by_name(self):
-        fn = init.get("he_normal")
-        assert fn is init.he_normal
-
-    def test_get_passthrough_callable(self):
-        custom = init.constant(2.0)
-        assert init.get(custom) is custom
-
-    def test_get_unknown_raises(self):
-        with pytest.raises(ValueError, match="Unknown initializer"):
-            init.get("nope")
-
-    def test_determinism_same_seed(self):
-        a = init.glorot_uniform((5, 5), np.random.default_rng(7))
-        b = init.glorot_uniform((5, 5), np.random.default_rng(7))
-        np.testing.assert_array_equal(a, b)

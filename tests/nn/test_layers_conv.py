@@ -5,7 +5,7 @@ import pytest
 from scipy.signal import correlate2d
 
 from repro.nn.gradcheck import check_layer_gradients
-from repro.nn.layers import AvgPool2D, Conv2D, MaxPool2D
+from repro.nn.layers import Conv2D, MaxPool2D
 from repro.nn.layers.conv import col2im, conv_output_size, im2col, resolve_padding
 
 
@@ -138,18 +138,3 @@ class TestMaxPool2D:
     def test_output_shape_helper(self):
         assert MaxPool2D(2).output_shape((8, 10, 6)) == (8, 5, 3)
 
-
-class TestAvgPool2D:
-    def test_forward_values(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = AvgPool2D(2).forward(x)
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_gradients_match_numeric(self, rng):
-        layer = AvgPool2D(2)
-        x = rng.normal(size=(2, 2, 4, 6))
-        errors = check_layer_gradients(layer, x, rng)
-        assert errors["input"] < 1e-6
-
-    def test_output_shape_helper(self):
-        assert AvgPool2D(2).output_shape((4, 8, 8)) == (4, 4, 4)

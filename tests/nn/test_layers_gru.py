@@ -84,7 +84,7 @@ class TestGRUIntegration:
         # Class depends on whether the mean of the first channel rises.
         y = (x[:, t // 2 :, 0].mean(axis=1) > x[:, : t // 2, 0].mean(axis=1)).astype(int)
         model = nn.Sequential([nn.GRU(8), nn.Dense(2)], seed=0).compile(
-            optimizer=nn.Adam(0.02)
+            nn.SoftmaxCrossEntropy(), nn.Adam(0.02)
         )
         model.fit(x, y, epochs=40, batch_size=16)
         assert model.evaluate(x, y)["accuracy"] > 0.9

@@ -1,22 +1,10 @@
-"""Tests for Dropout, BatchNorm, reshape layers, and activation layers."""
+"""Tests for Dropout, the reshape layers and the ReLU layer."""
 
 import numpy as np
 import pytest
 
 from repro.nn.gradcheck import check_layer_gradients
-from repro.nn.layers import (
-    ELU,
-    BatchNorm,
-    Dropout,
-    Flatten,
-    LeakyReLU,
-    ReLU,
-    Reshape,
-    Sigmoid,
-    Softmax,
-    Tanh,
-    ToSequence,
-)
+from repro.nn.layers import Dropout, Flatten, ReLU, ToSequence
 
 
 @pytest.fixture
@@ -66,79 +54,6 @@ class TestDropout:
         np.testing.assert_array_equal(layer.forward(x), x)
 
 
-class TestBatchNorm:
-    def test_normalizes_training_batch(self, rng):
-        layer = BatchNorm()
-        x = rng.normal(loc=5.0, scale=3.0, size=(200, 4))
-        layer.ensure_built(x, rng)
-        layer.training = True
-        out = layer.forward(x)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-2)
-
-    def test_conv_input_normalizes_per_channel(self, rng):
-        layer = BatchNorm()
-        x = rng.normal(loc=2.0, size=(8, 3, 5, 5))
-        layer.ensure_built(x, rng)
-        layer.training = True
-        out = layer.forward(x)
-        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
-
-    def test_eval_uses_running_stats(self, rng):
-        layer = BatchNorm(momentum=0.5)
-        x = rng.normal(loc=1.0, size=(64, 4))
-        layer.ensure_built(x, rng)
-        layer.training = True
-        for _ in range(50):
-            layer.forward(x)
-        layer.training = False
-        out = layer.forward(x)
-        # After convergence of running stats, eval ~ train normalization.
-        assert abs(out.mean()) < 0.1
-
-    def test_gradients_match_numeric(self, rng):
-        layer = BatchNorm()
-        x = rng.normal(size=(6, 5))
-        errors = check_layer_gradients(layer, x, rng)
-        for key, err in errors.items():
-            assert err < 1e-6, f"gradient error for {key}: {err}"
-
-    def test_conv_gradients_match_numeric(self, rng):
-        layer = BatchNorm()
-        x = rng.normal(size=(3, 2, 4, 4))
-        errors = check_layer_gradients(layer, x, rng)
-        for key, err in errors.items():
-            assert err < 1e-6, f"gradient error for {key}: {err}"
-
-    def test_state_roundtrip(self, rng):
-        layer = BatchNorm()
-        x = rng.normal(size=(16, 3))
-        layer.ensure_built(x, rng)
-        layer.training = True
-        layer.forward(x)
-        state = layer.get_state()
-        other = BatchNorm()
-        other.params["gamma"] = layer.params["gamma"].copy()
-        other.params["beta"] = layer.params["beta"].copy()
-        other.set_state(state)
-        other.built = True
-        other.training = False
-        np.testing.assert_allclose(
-            other.forward(x), _eval_forward(layer, x), atol=1e-12
-        )
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError, match="momentum"):
-            BatchNorm(momentum=1.5)
-
-
-def _eval_forward(layer, x):
-    layer.training = False
-    out = layer.forward(x)
-    layer.training = True
-    return out
-
-
 class TestReshapeLayers:
     def test_flatten_roundtrip(self, rng):
         layer = Flatten()
@@ -146,15 +61,6 @@ class TestReshapeLayers:
         out = layer.forward(x)
         assert out.shape == (3, 40)
         np.testing.assert_array_equal(layer.backward(out), x)
-
-    def test_reshape(self, rng):
-        layer = Reshape((4, 10))
-        x = rng.normal(size=(2, 40))
-        assert layer.forward(x).shape == (2, 4, 10)
-
-    def test_reshape_incompatible_raises(self):
-        with pytest.raises(ValueError, match="cannot reshape"):
-            Reshape((3, 3)).output_shape((10,))
 
     def test_tosequence_shape(self, rng):
         layer = ToSequence()
@@ -188,16 +94,10 @@ class TestReshapeLayers:
 
 
 class TestActivationLayers:
-    @pytest.mark.parametrize(
-        "layer_cls", [ReLU, LeakyReLU, ELU, Sigmoid, Tanh, Softmax]
-    )
+    @pytest.mark.parametrize("layer_cls", [ReLU])
     def test_input_gradients_match_numeric(self, rng, layer_cls):
         layer = layer_cls()
         x = rng.normal(size=(4, 6)) + 0.05  # nudge away from ReLU kink
         errors = check_layer_gradients(layer, x, rng)
         assert errors["input"] < 1e-5, f"{layer_cls.__name__}: {errors['input']}"
 
-    def test_softmax_outputs_distribution(self, rng):
-        out = Softmax().forward(rng.normal(size=(8, 5)))
-        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
-        assert np.all(out >= 0)

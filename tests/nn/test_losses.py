@@ -1,4 +1,4 @@
-"""Tests for loss functions: values, gradients, numerical stability."""
+"""Tests for the softmax cross-entropy loss: values, gradients, stability."""
 
 import numpy as np
 import pytest
@@ -53,52 +53,3 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError, match="one-hot"):
             loss.loss(np.zeros((2, 3)), np.eye(4)[:2])
 
-
-class TestBinaryCrossEntropy:
-    def test_matches_explicit_formula(self, rng):
-        loss = losses.BinaryCrossEntropy()
-        z = rng.normal(size=10)
-        y = rng.integers(0, 2, size=10).astype(float)
-        p = 1.0 / (1.0 + np.exp(-z))
-        expected = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
-        assert loss.loss(z, y) == pytest.approx(expected)
-
-    def test_gradient_matches_numeric(self, rng):
-        loss = losses.BinaryCrossEntropy()
-        z = rng.normal(size=(7, 1))
-        y = rng.integers(0, 2, size=(7, 1)).astype(float)
-        analytic = loss.grad(z, y)
-        numeric = numeric_grad(lambda: loss.loss(z, y), z)
-        assert relative_error(analytic, numeric) < 1e-6
-
-    def test_extreme_logits_stable(self):
-        loss = losses.BinaryCrossEntropy()
-        assert np.isfinite(loss.loss(np.array([1e4, -1e4]), np.array([1.0, 0.0])))
-
-
-class TestMeanSquaredError:
-    def test_zero_for_exact(self, rng):
-        loss = losses.MeanSquaredError()
-        y = rng.normal(size=(4, 3))
-        assert loss.loss(y, y) == 0.0
-
-    def test_gradient_matches_numeric(self, rng):
-        loss = losses.MeanSquaredError()
-        pred = rng.normal(size=(4, 3))
-        target = rng.normal(size=(4, 3))
-        analytic = loss.grad(pred, target)
-        numeric = numeric_grad(lambda: loss.loss(pred, target), pred)
-        assert relative_error(analytic, numeric) < 1e-6
-
-
-class TestRegistry:
-    def test_get_by_name(self):
-        assert isinstance(losses.get("mse"), losses.MeanSquaredError)
-
-    def test_passthrough(self):
-        inst = losses.SoftmaxCrossEntropy()
-        assert losses.get(inst) is inst
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError, match="Unknown loss"):
-            losses.get("nope")

@@ -29,21 +29,23 @@ class TestTraining:
         x, y = make_blobs(rng)
         model = nn.Sequential(
             [nn.Dense(8), nn.ReLU(), nn.Dense(2)], seed=0
-        ).compile("softmax_cross_entropy", nn.Adam(lr=0.05))
+        ).compile(nn.SoftmaxCrossEntropy(), nn.Adam(lr=0.05))
         model.fit(x, y, epochs=30, batch_size=16)
         assert model.evaluate(x, y)["accuracy"] > 0.95
 
     def test_loss_decreases(self, rng):
         x, y = make_blobs(rng)
-        model = nn.Sequential([nn.Dense(4), nn.Tanh(), nn.Dense(2)], seed=0)
-        model.compile("softmax_cross_entropy", nn.SGD(lr=0.1))
+        model = nn.Sequential([nn.Dense(4), nn.ReLU(), nn.Dense(2)], seed=0)
+        model.compile(nn.SoftmaxCrossEntropy(), nn.Adam(lr=0.1))
         history = model.fit(x, y, epochs=20, batch_size=16)
         losses = history.series("loss")
         assert losses[-1] < losses[0]
 
     def test_epoch_metrics_recorded(self, rng):
         x, y = make_blobs(rng)
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile()
+        model = nn.Sequential([nn.Dense(2)], seed=0).compile(
+            nn.SoftmaxCrossEntropy(), nn.Adam()
+        )
         history = model.fit(x, y, epochs=3)
         assert set(history.epochs[0]) == {"loss", "accuracy", "epoch"}
 
@@ -53,12 +55,16 @@ class TestTraining:
             model.fit(np.zeros((4, 3)), np.zeros(4))
 
     def test_mismatched_batch_raises(self):
-        model = nn.Sequential([nn.Dense(2)]).compile()
+        model = nn.Sequential([nn.Dense(2)]).compile(
+            nn.SoftmaxCrossEntropy(), nn.Adam()
+        )
         with pytest.raises(ValueError, match="disagree"):
             model.fit(np.zeros((4, 3)), np.zeros(5))
 
     def test_empty_dataset_raises(self):
-        model = nn.Sequential([nn.Dense(2)]).compile()
+        model = nn.Sequential([nn.Dense(2)]).compile(
+            nn.SoftmaxCrossEntropy(), nn.Adam()
+        )
         with pytest.raises(ValueError, match="empty"):
             model.fit(np.zeros((0, 3)), np.zeros(0))
 
@@ -67,7 +73,7 @@ class TestTraining:
 
         def train():
             m = nn.Sequential([nn.Dense(4), nn.ReLU(), nn.Dense(2)], seed=42)
-            m.compile("softmax_cross_entropy", nn.Adam(lr=0.01))
+            m.compile(nn.SoftmaxCrossEntropy(), nn.Adam(lr=0.01))
             m.fit(x, y, epochs=3, batch_size=8)
             return m.predict(x)
 
@@ -77,7 +83,9 @@ class TestTraining:
 class TestPrediction:
     def test_predict_batched_equals_unbatched(self, rng):
         x, y = make_blobs(rng, n=40)
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile()
+        model = nn.Sequential([nn.Dense(2)], seed=0).compile(
+            nn.SoftmaxCrossEntropy(), nn.Adam()
+        )
         model.fit(x, y, epochs=1)
         np.testing.assert_allclose(
             model.predict(x, batch_size=7), model.predict(x, batch_size=64)
@@ -86,7 +94,7 @@ class TestPrediction:
     def test_predict_classes(self, rng):
         x, y = make_blobs(rng)
         model = nn.Sequential([nn.Dense(2)], seed=0).compile(
-            optimizer=nn.Adam(lr=0.1)
+            nn.SoftmaxCrossEntropy(), nn.Adam(lr=0.1)
         )
         model.fit(x, y, epochs=20)
         preds = model.predict_classes(x)
@@ -95,45 +103,37 @@ class TestPrediction:
 
 
 class TestCallbacks:
-    def test_early_stopping_halts(self, rng):
-        x, y = make_blobs(rng)
+    def test_early_stopping_halts(self):
         model = nn.Sequential([nn.Dense(2)], seed=0).compile(
-            optimizer=nn.Adam(lr=0.2)
+            nn.SoftmaxCrossEntropy(), nn.Adam(lr=0.2)
         )
-        stopper = nn.EarlyStopping(monitor="loss", patience=1, min_delta=10.0)
-        history = model.fit(x, y, epochs=50, callbacks=[stopper])
-        # min_delta=10 means "never improves", so it stops after patience+2.
-        assert len(history.epochs) <= 4
-
-    def test_early_stopping_restores_best(self, rng):
-        x, y = make_blobs(rng)
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile(
-            optimizer=nn.Adam(lr=0.5)
+        model.build((2,))
+        model.freeze_layers(1)
+        # Frozen weights and identical rows: the loss never decreases, so
+        # training stops after patience + 2 epochs.
+        stopper = nn.EarlyStopping(patience=1)
+        history = model.fit(
+            np.zeros((8, 2)), np.zeros(8), epochs=50, callbacks=[stopper]
         )
-        stopper = nn.EarlyStopping(
-            monitor="loss", patience=2, restore_best=True, mode="min"
-        )
-        model.fit(x, y, epochs=10, callbacks=[stopper])
-        best_loss = stopper.best
-        final = model.loss.loss(model.predict(x), y)
-        assert final == pytest.approx(best_loss, rel=0.2)
+        assert len(history.epochs) == 3
 
     def test_best_weights_tracks_max_accuracy(self, rng):
         x, y = make_blobs(rng)
         model = nn.Sequential([nn.Dense(2)], seed=0).compile(
-            optimizer=nn.Adam(lr=0.05)
+            nn.SoftmaxCrossEntropy(), nn.Adam(lr=0.05)
         )
-        tracker = nn.BestWeights()  # monitors training accuracy, max
-        model.fit(x, y, epochs=5, callbacks=[tracker])
-        assert tracker.best is not None
-        assert 0.0 <= tracker.best <= 1.0
+        tracker = nn.BestWeights()
+        history = model.fit(x, y, epochs=5, callbacks=[tracker])
+        assert tracker.best == max(history.series("accuracy"))
+        # The best epoch's weights are restored when training ends.
+        assert nn.accuracy(y, model.predict(x)) == tracker.best
 
 
 class TestWeightsRoundtrip:
     def test_get_set_weights(self, rng):
         x, y = make_blobs(rng)
         model = nn.Sequential([nn.Dense(4), nn.ReLU(), nn.Dense(2)], seed=0)
-        model.compile()
+        model.compile(nn.SoftmaxCrossEntropy(), nn.Adam())
         model.fit(x, y, epochs=2)
         weights = model.get_weights()
         before = model.predict(x)
@@ -142,7 +142,9 @@ class TestWeightsRoundtrip:
         np.testing.assert_allclose(model.predict(x), before)
 
     def test_set_weights_shape_mismatch_raises(self, rng):
-        model = nn.Sequential([nn.Dense(2)], seed=0).compile()
+        model = nn.Sequential([nn.Dense(2)], seed=0).compile(
+            nn.SoftmaxCrossEntropy(), nn.Adam()
+        )
         model.forward(np.zeros((1, 3)))
         weights = model.get_weights()
         weights[0]["W"] = np.zeros((5, 5))
@@ -159,7 +161,7 @@ class TestFreezing:
     def test_freeze_first_n(self, rng):
         x, y = make_blobs(rng)
         model = nn.Sequential([nn.Dense(4), nn.ReLU(), nn.Dense(2)], seed=0)
-        model.compile(optimizer=nn.Adam(lr=0.1))
+        model.compile(nn.SoftmaxCrossEntropy(), nn.Adam(lr=0.1))
         model.fit(x, y, epochs=1)
         frozen_w = model.layers[0].params["W"].copy()
         model.freeze_layers(1)
@@ -168,16 +170,10 @@ class TestFreezing:
 
     def test_freeze_by_name(self, rng):
         layer = nn.Dense(4, name="backbone")
-        model = nn.Sequential([layer, nn.ReLU(), nn.Dense(2)], seed=0).compile()
+        model = nn.Sequential([layer, nn.ReLU(), nn.Dense(2)], seed=0)
         model.freeze_layers(["backbone"])
         assert layer.frozen
         assert not model.layers[2].frozen
-
-    def test_unfreeze_all(self):
-        model = nn.Sequential([nn.Dense(2), nn.Dense(2)])
-        model.freeze_layers(2)
-        model.unfreeze_all()
-        assert not any(l.frozen for l in model.layers)
 
 
 class TestIntrospection:

@@ -1,10 +1,10 @@
-"""Tests for optimizers: convergence on quadratics, slots, clipping, freezing."""
+"""Tests for Adam: convergence on a quadratic, slots, clipping, freezing."""
 
 import numpy as np
 import pytest
 
 from repro.nn.layers import Dense
-from repro.nn.optimizers import SGD, Adam, RMSProp, get
+from repro.nn.optimizers import Adam
 
 
 def make_quadratic_layer(rng, target):
@@ -30,17 +30,7 @@ def target(rng):
 
 class TestConvergence:
     @pytest.mark.parametrize(
-        "opt,steps,atol",
-        [
-            (SGD(lr=0.5), 300, 1e-3),
-            (SGD(lr=0.2, momentum=0.9), 300, 1e-3),
-            (SGD(lr=0.2, momentum=0.9, nesterov=True), 300, 1e-3),
-            # RMSProp's normalized steps oscillate at ~lr near the optimum,
-            # so its terminal error is bounded by the learning rate.
-            (RMSProp(lr=0.01), 800, 0.05),
-            (Adam(lr=0.1), 300, 1e-3),
-        ],
-        ids=["sgd", "momentum", "nesterov", "rmsprop", "adam"],
+        "opt,steps,atol", [(Adam(lr=0.1), 300, 1e-3)], ids=["adam"]
     )
     def test_minimizes_quadratic(self, rng, target, opt, steps, atol):
         layer = make_quadratic_layer(rng, target)
@@ -66,7 +56,7 @@ class TestFreezing:
         layer = make_quadratic_layer(rng, target)
         layer.freeze()
         w0 = layer.params["W"].copy()
-        opt = SGD(lr=0.5)
+        opt = Adam(lr=0.5)
         quadratic_step(layer, target)
         opt.step([layer])
         np.testing.assert_array_equal(layer.params["W"], w0)
@@ -74,7 +64,7 @@ class TestFreezing:
     def test_unfreeze_resumes_updates(self, rng, target):
         layer = make_quadratic_layer(rng, target)
         layer.freeze()
-        opt = SGD(lr=0.5)
+        opt = Adam(lr=0.5)
         quadratic_step(layer, target)
         opt.step([layer])
         layer.unfreeze()
@@ -99,31 +89,23 @@ class TestFreezing:
 class TestGradientClipping:
     def test_clipnorm_scales_large_gradients(self, rng, target):
         layer = make_quadratic_layer(rng, target)
-        opt = SGD(lr=1.0, clipnorm=0.001)
-        w0 = layer.params["W"].copy()
-        layer.grads["W"] = 1e6 * np.ones_like(w0)
+        opt = Adam(lr=1.0, clipnorm=0.001)
+        layer.grads["W"] = 1e6 * np.ones_like(layer.params["W"])
         opt.step([layer])
-        moved = np.linalg.norm(layer.params["W"] - w0)
-        assert moved == pytest.approx(0.001, rel=1e-6)
+        # The clip rescales the gradient in place before the update.
+        assert np.linalg.norm(layer.grads["W"]) == pytest.approx(0.001, rel=1e-6)
+        np.testing.assert_allclose(
+            opt.slot(layer, "W", "m"), 0.1 * layer.grads["W"], rtol=1e-12
+        )
 
     def test_small_gradients_untouched(self, rng, target):
         layer = make_quadratic_layer(rng, target)
-        opt = SGD(lr=1.0, clipnorm=100.0)
+        opt = Adam(lr=1.0, clipnorm=100.0)
         g = 0.01 * np.ones_like(layer.params["W"])
         layer.grads["W"] = g.copy()
-        w0 = layer.params["W"].copy()
         opt.step([layer])
-        np.testing.assert_allclose(layer.params["W"], w0 - g, atol=1e-12)
-
-
-class TestWeightDecay:
-    def test_decay_shrinks_weights(self, rng, target):
-        layer = make_quadratic_layer(rng, target)
-        opt = SGD(lr=0.1, weight_decay=0.5)
-        layer.grads["W"] = np.zeros_like(layer.params["W"])
-        w0 = layer.params["W"].copy()
-        opt.step([layer])
-        np.testing.assert_allclose(layer.params["W"], w0 * (1 - 0.1 * 0.5))
+        np.testing.assert_array_equal(layer.grads["W"], g)
+        np.testing.assert_allclose(opt.slot(layer, "W", "m"), 0.1 * g, rtol=1e-12)
 
 
 class TestSchedulesAndState:
@@ -139,27 +121,9 @@ class TestSchedulesAndState:
 
 
 class TestValidationAndRegistry:
-    @pytest.mark.parametrize("opt_cls", [SGD, RMSProp, Adam])
+    @pytest.mark.parametrize("opt_cls", [Adam])
     @pytest.mark.parametrize("lr", [0.0, -0.1])
     def test_non_positive_lr_rejected(self, opt_cls, lr):
         with pytest.raises(ValueError, match="learning rate must be positive"):
             opt_cls(lr=lr)
 
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError, match="momentum"):
-            SGD(momentum=1.5)
-
-    def test_nesterov_requires_momentum(self):
-        with pytest.raises(ValueError, match="nesterov"):
-            SGD(momentum=0.0, nesterov=True)
-
-    def test_get_by_name(self):
-        assert isinstance(get("adam"), Adam)
-
-    def test_get_passthrough(self):
-        opt = RMSProp()
-        assert get(opt) is opt
-
-    def test_get_unknown_raises(self):
-        with pytest.raises(ValueError, match="Unknown optimizer"):
-            get("lion")

@@ -69,7 +69,7 @@ class TestArtifactDigest:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(8, 1, 16, 4))
         model = build_cnn_lstm((1, 16, 4), seed=0).compile(
-            "softmax_cross_entropy", nn.Adam(1e-3)
+            nn.SoftmaxCrossEntropy(), nn.Adam(1e-3)
         )
         model.fit(x, rng.integers(0, 2, 8), epochs=1, batch_size=4)
         trained = artifact_digest(model)

@@ -210,6 +210,14 @@ class TestCheckModel:
         assert code == 1
         assert "rec" in capsys.readouterr().out
 
+        # A layer class the package does not have fails cleanly.
+        path.write_text(json.dumps([{"class": "BatchNorm", "config": {"name": "bn"}}]))
+        code = main(
+            ["check-model", "--input-shape", "2,3,4", "--arch-json", str(path)]
+        )
+        assert code == 1
+        assert "unknown layer class" in capsys.readouterr().out
+
     def test_bad_shape_argument_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check-model", "--input-shape", "1,x,20"])

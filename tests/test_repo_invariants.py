@@ -22,15 +22,12 @@ def test_src_tree_exists():
     assert SRC.is_dir(), f"expected source tree at {SRC}"
 
 
-def test_lint_clean_over_src():
+def test_lint_clean_over_src(src_analysis):
     # The per-file rules report nothing over src/repro, and exactly what
     # the line-regex suppression of the retired per-file linter left.
-    from repro.analysis.dataflow import analyze_paths
     from tests.analysis.test_lint import PER_FILE_CODES, line_suppressed_findings
 
-    findings = [
-        f for f in analyze_paths([SRC]).findings if f.code in PER_FILE_CODES
-    ]
+    findings = [f for f in src_analysis.findings if f.code in PER_FILE_CODES]
     formatted = "\n".join(f.format_text() for f in findings)
     assert not findings, f"repo invariants violated:\n{formatted}"
     for path in sorted(SRC.rglob("*.py")):
@@ -58,13 +55,11 @@ def test_all_rules_enabled_by_default():
     }
 
 
-def test_determinism_analyzer_clean_over_src():
+def test_determinism_analyzer_clean_over_src(src_analysis):
     # The analyzer (per-file rules, seed-flow, Stage purity,
     # cross-process hazards, suppression hygiene) reports nothing over
     # src/repro.  A deliberate keep is a `# repro: noqa[CODE]` comment.
-    from repro.analysis.dataflow import analyze_paths
-
-    result = analyze_paths([SRC])
+    result = src_analysis
     formatted = "\n".join(f.format_text() for f in result.findings)
     assert not result.findings, f"determinism analysis failed:\n{formatted}"
     assert not result.errors, f"unanalyzable files: {result.errors}"
