@@ -37,24 +37,12 @@ Subpackages
 
 __version__ = "1.0.0"
 
-from . import (
-    analysis,
-    clustering,
-    core,
-    datasets,
-    edge,
-    errors,
-    experiments,
-    nn,
-    orchestration,
-    resilience,
-    runtime,
-    scenarios,
-    signals,
-    viz,
-)
+import importlib
 
-__all__ = [
+#: Subpackages, imported on first attribute access (PEP 562) so that
+#: ``import repro`` — and the AST-only analyzer behind it — does not load
+#: the scientific stack.
+_SUBPACKAGES = (
     "analysis",
     "nn",
     "signals",
@@ -69,5 +57,13 @@ __all__ = [
     "runtime",
     "scenarios",
     "viz",
-    "__version__",
-]
+)
+
+
+def __getattr__(name):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [*_SUBPACKAGES, "__version__"]

@@ -23,7 +23,6 @@ from .graph import (
     LayerReport,
     ModelReport,
     PRECISION_BYTES,
-    trace_layers,
     validate_architecture,
     validate_config,
     validate_model,
@@ -37,7 +36,6 @@ __all__ = [
     "LayerReport",
     "ModelReport",
     "PRECISION_BYTES",
-    "trace_layers",
     "validate_architecture",
     "validate_config",
     "validate_model",

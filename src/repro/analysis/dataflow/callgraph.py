@@ -11,7 +11,7 @@ analyses treat it as an opaque trust boundary.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .summaries import CallRecord, FunctionSummary, ModuleSummary
 
@@ -29,12 +29,6 @@ class CallGraph:
             self.functions.update(module.functions)
 
     # -- lookups ---------------------------------------------------------
-
-    def function(self, qualname: str) -> Optional[FunctionSummary]:
-        return self.functions.get(qualname)
-
-    def module_of(self, fn: FunctionSummary) -> Optional[ModuleSummary]:
-        return self.modules.get(fn.module)
 
     def iter_functions(self) -> Iterable[FunctionSummary]:
         return self.functions.values()
@@ -108,17 +102,3 @@ class CallGraph:
         return self.resolve_call(
             scope, CallRecord(callee=ref, line=0, col=0)
         )
-
-    # -- derived relations ----------------------------------------------
-
-    def callers_of(
-        self, qualname: str
-    ) -> List[Tuple[FunctionSummary, CallRecord]]:
-        """Every (caller, call site) pair that resolves to ``qualname``."""
-        out: List[Tuple[FunctionSummary, CallRecord]] = []
-        for fn in self.functions.values():
-            for call in fn.calls:
-                target = self.resolve_call(fn, call)
-                if target is not None and target.qualname == qualname:
-                    out.append((fn, call))
-        return out

@@ -65,7 +65,7 @@ class AnalysisResult:
         }
 
 
-def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
+def _iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
     """Expand files/directories into the .py files they contain."""
     for path in paths:
         if path.is_dir():
@@ -145,7 +145,7 @@ def analyze_paths(
     executor=None,
 ) -> AnalysisResult:
     """Run every rule over every python file in ``paths``."""
-    files = [str(p) for p in iter_python_files(Path(p) for p in paths)]
+    files = [str(p) for p in _iter_python_files(Path(p) for p in paths)]
     if executor is None:
         # Lazy import: keeps `import repro.analysis.dataflow` free of the
         # orchestration/runtime dependency until an analysis actually runs.
@@ -191,7 +191,7 @@ def analyze_paths(
 
 # -- CLI ------------------------------------------------------------------
 
-def report_text(findings: Sequence[Finding]) -> str:
+def _report_text(findings: Sequence[Finding]) -> str:
     lines = [f.format_text() for f in findings]
     lines.append(
         f"{len(findings)} finding(s)" if findings else "clean: 0 findings"
@@ -266,7 +266,7 @@ def run_cli(args: argparse.Namespace) -> int:
 
         print(sarif_report(result.findings))
     else:
-        print(report_text(result.findings))
+        print(_report_text(result.findings))
         if result.suppressed:
             print(f"({result.suppressed} suppressed via noqa)")
     return 1 if result.findings else 0

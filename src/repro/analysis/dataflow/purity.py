@@ -40,7 +40,7 @@ boundary.  The ``ctx`` (first) parameter is exempt from RPR010 — the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from ..rules import Finding
 from .callgraph import CallGraph
@@ -59,7 +59,7 @@ class StageBinding:
     registered_at: Tuple[str, int]  # (path, line)
 
 
-def resolve_stage_bindings(graph: CallGraph) -> List[StageBinding]:
+def _resolve_stage_bindings(graph: CallGraph) -> List[StageBinding]:
     """Every ``Stage(...)`` call whose fn resolves to a summary."""
     bindings: List[StageBinding] = []
     for scope in graph.iter_functions():
@@ -87,12 +87,12 @@ def _same_module_callees(
 
 
 def _reachable_helpers(
-    graph: CallGraph, fn: FunctionSummary, depth: int = HELPER_DEPTH
+    graph: CallGraph, fn: FunctionSummary
 ) -> List[FunctionSummary]:
-    """The stage fn plus same-module helpers reachable within ``depth``."""
+    """The stage fn plus same-module helpers within ``HELPER_DEPTH`` calls."""
     seen: Dict[str, FunctionSummary] = {fn.qualname: fn}
     frontier = [fn]
-    for _ in range(depth):
+    for _ in range(HELPER_DEPTH):
         next_frontier: List[FunctionSummary] = []
         for current in frontier:
             for callee in _same_module_callees(graph, current):
@@ -114,12 +114,9 @@ def _param_aliases(fn: FunctionSummary, params: Set[str]) -> Set[str]:
     return names
 
 
-def check_stage_purity(
-    graph: CallGraph, bindings: Optional[List[StageBinding]] = None
-) -> List[Finding]:
+def check_stage_purity(graph: CallGraph) -> List[Finding]:
     """Purity findings for every resolved stage function."""
-    if bindings is None:
-        bindings = resolve_stage_bindings(graph)
+    bindings = _resolve_stage_bindings(graph)
     findings: List[Finding] = []
     checked: Set[Tuple[str, str]] = set()
 

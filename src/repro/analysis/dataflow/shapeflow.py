@@ -90,7 +90,7 @@ class ArtifactSpec:
         return f"{shape}:{self.dtype or '*'}"
 
 
-def specs_compatible(
+def _specs_compatible(
     produced: ArtifactSpec, required: ArtifactSpec
 ) -> Optional[str]:
     """Why ``produced`` cannot satisfy ``required``, or None if it can."""
@@ -122,16 +122,13 @@ def _specs_of_inputs(stage) -> dict:
     return getattr(stage, "input_specs", None) or {}
 
 
-def check_stage_flow(
-    stages: Sequence,
-    initial_specs: Optional[dict] = None,
-) -> List[Tuple[str, str, str]]:
+def check_stage_flow(stages: Sequence) -> List[Tuple[str, str, str]]:
     """Verify every declared artifact edge among ``stages``.
 
     ``stages`` duck-types :class:`~repro.orchestration.stage.Stage`
     (``name`` / ``requires`` / ``provides`` plus the optional spec
-    fields).  ``initial_specs`` optionally declares specs for artifacts
-    the caller supplies to :meth:`PipelineGraph.run` directly.
+    fields).  Artifacts the caller supplies to :meth:`PipelineGraph.run`
+    directly carry no spec, so their edges pass vacuously.
 
     Returns the list of checked edges ``(producer, consumer, artifact)``
     — useful for asserting coverage — and raises
@@ -139,7 +136,7 @@ def check_stage_flow(
     both stages.
     """
     producers = {}
-    produced_specs = dict(initial_specs or {})
+    produced_specs = {}
     for stage in stages:
         producers[stage.provides] = stage.name
         spec = _spec_of_output(stage)
@@ -157,9 +154,9 @@ def check_stage_flow(
             produced = produced_specs.get(artifact)
             if produced is None:
                 continue  # producer undeclared: vacuously compatible
-            producer = producers.get(artifact, "<initial>")
+            producer = producers[artifact]
             checked.append((producer, stage.name, artifact))
-            reason = specs_compatible(produced, required)
+            reason = _specs_compatible(produced, required)
             if reason is not None:
                 raise ArtifactFlowError(
                     reason,

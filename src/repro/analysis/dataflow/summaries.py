@@ -312,11 +312,6 @@ class FunctionSummary:
     container_elems: Tuple[ContainerElem, ...] = ()
     aliases: Tuple[Tuple[str, str], ...] = ()
 
-    @property
-    def rng_params(self) -> Tuple[str, ...]:
-        return tuple(p for p in self.params if p in RNG_PARAM_NAMES)
-
-
 @dataclass
 class ModuleSummary:
     """Every function summary of one module, plus linking metadata."""
@@ -326,10 +321,6 @@ class ModuleSummary:
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     module_level_names: Tuple[str, ...] = ()
-
-    def function(self, qualname: str) -> Optional[FunctionSummary]:
-        return self.functions.get(qualname)
-
 
 @dataclass
 class FileAnalysis:
@@ -354,7 +345,7 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def root_name(node: ast.AST) -> Optional[str]:
+def _root_name(node: ast.AST) -> Optional[str]:
     """The leftmost Name of an attribute/subscript chain."""
     while isinstance(node, (ast.Attribute, ast.Subscript)):
         node = node.value
@@ -368,7 +359,7 @@ def _is_none(node: Optional[ast.AST]) -> bool:
     return isinstance(node, ast.Constant) and node.value is None
 
 
-def classify_rng_call(node: ast.Call) -> Optional[str]:
+def _classify_rng_call(node: ast.Call) -> Optional[str]:
     """Is this call an RNG creation?  Returns "seeded"/"unseeded"/None.
 
     ``default_rng()`` / ``default_rng(None)`` / ``SeedSequence()`` draw
@@ -432,6 +423,24 @@ def _resolve_relative(module: str, node: ast.ImportFrom) -> str:
     if node.module:
         base = base + node.module.split(".")
     return ".".join(base)
+
+
+def module_imports(tree: ast.Module, module: str) -> Dict[str, str]:
+    """Module-level import table: bound name -> absolute dotted target."""
+    imports: Dict[str, str] = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                imports[alias.asname or alias.name.split(".")[0]] = alias.name
+        elif isinstance(stmt, ast.ImportFrom):
+            target = _resolve_relative(module, stmt)
+            for alias in stmt.names:
+                if alias.name == "*":
+                    continue
+                imports[alias.asname or alias.name] = (
+                    f"{target}.{alias.name}" if target else alias.name
+                )
+    return imports
 
 
 # -- the extractor --------------------------------------------------------
@@ -584,7 +593,7 @@ class _ScopeExtractor:
                 self._assigned.add(stmt.target.id)
             return
         if isinstance(stmt, ast.AugAssign):
-            root = root_name(stmt.target)
+            root = _root_name(stmt.target)
             if root is not None and not isinstance(stmt.target, ast.Name):
                 self._mutations.append(
                     Mutation(root, "augassign", stmt.lineno, stmt.col_offset)
@@ -603,7 +612,7 @@ class _ScopeExtractor:
             return
         if isinstance(stmt, ast.Delete):
             for target in stmt.targets:
-                root = root_name(target)
+                root = _root_name(target)
                 if root is not None and not isinstance(target, ast.Name):
                     self._mutations.append(
                         Mutation(root, "del", stmt.lineno, stmt.col_offset)
@@ -644,7 +653,7 @@ class _ScopeExtractor:
                 if len(targets) == 1:
                     simple_target = target.id
             else:
-                root = root_name(target)
+                root = _root_name(target)
                 if root is not None:
                     kind = (
                         "subscript"
@@ -673,7 +682,7 @@ class _ScopeExtractor:
         # Taint propagation onto a simple name target.
         if simple_target is not None:
             if isinstance(value, ast.Call):
-                kind = classify_rng_call(value)
+                kind = _classify_rng_call(value)
                 if kind is not None:
                     self._rng_creations.append(
                         RngCreation(
@@ -686,7 +695,7 @@ class _ScopeExtractor:
                     else:
                         self._tainted.discard(simple_target)
                 elif self._is_spawn(value):
-                    receiver = root_name(value.func)
+                    receiver = _root_name(value.func)
                     self._rng_creations.append(
                         RngCreation(
                             value.lineno,
@@ -743,7 +752,7 @@ class _ScopeExtractor:
         return names
 
     def _maybe_global_write(self, target: ast.expr, stmt: ast.stmt) -> None:
-        root = root_name(target)
+        root = _root_name(target)
         if root is None:
             return
         if isinstance(target, ast.Name) and root in self._declared_global:
@@ -773,7 +782,7 @@ class _ScopeExtractor:
         if isinstance(value, ast.Name):
             self._returns_names.append(value.id)
         elif isinstance(value, ast.Call):
-            if classify_rng_call(value) == "unseeded":
+            if _classify_rng_call(value) == "unseeded":
                 self._returns_unseeded = True
         self._expr(value)
 
@@ -877,7 +886,7 @@ class _ScopeExtractor:
         tail = callee.rsplit(".", 1)[-1]
 
         # RNG creation not bound to a name (e.g. used inline).
-        kind = classify_rng_call(node)
+        kind = _classify_rng_call(node)
         if kind is not None and record.assigned_to is None:
             self._rng_creations.append(
                 RngCreation(node.lineno, node.col_offset, kind)
@@ -888,7 +897,7 @@ class _ScopeExtractor:
             receiver_node = node.func.value
             receiver = dotted_name(receiver_node)
             if receiver is None and isinstance(receiver_node, ast.Call):
-                if classify_rng_call(receiver_node) == "unseeded":
+                if _classify_rng_call(receiver_node) == "unseeded":
                     receiver = "<unseeded>"
             if receiver is not None:
                 self._stochastic.append(
@@ -899,7 +908,7 @@ class _ScopeExtractor:
 
         # Mutating method on a receiver we can root.
         if isinstance(node.func, ast.Attribute) and tail in MUTATING_METHODS:
-            root = root_name(node.func.value)
+            root = _root_name(node.func.value)
             if root is not None:
                 self._mutations.append(
                     Mutation(
@@ -1075,23 +1084,10 @@ class _ModuleBuilder:
     def build(self, tree: ast.Module) -> ModuleSummary:
         # First pass: module-level bindings (imports, defs, assignments),
         # so scope extraction can distinguish globals from free names.
+        self.imports = module_imports(tree, self.module)
+        self.module_level.update(self.imports)
         for stmt in tree.body:
-            if isinstance(stmt, ast.Import):
-                for alias in stmt.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    self.imports[name] = alias.name
-                    self.module_level.add(name)
-            elif isinstance(stmt, ast.ImportFrom):
-                target = _resolve_relative(self.module, stmt)
-                for alias in stmt.names:
-                    if alias.name == "*":
-                        continue
-                    name = alias.asname or alias.name
-                    self.imports[name] = (
-                        f"{target}.{alias.name}" if target else alias.name
-                    )
-                    self.module_level.add(name)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.module_level.add(stmt.name)
             elif isinstance(stmt, ast.ClassDef):
                 self.module_level.add(stmt.name)
@@ -1131,12 +1127,9 @@ class _ModuleBuilder:
         )
 
 
-def summarize_tree(
-    tree: ast.Module, path: str = "<string>", module: Optional[str] = None
-) -> ModuleSummary:
+def summarize_tree(tree: ast.Module, path: str) -> ModuleSummary:
     """Compress one parsed module into a :class:`ModuleSummary`."""
-    name = module if module is not None else module_name_for(path)
-    return _ModuleBuilder(name, path).build(tree)
+    return _ModuleBuilder(module_name_for(path), path).build(tree)
 
 
 def extract_noqa_directives(source: str) -> Tuple[NoqaDirective, ...]:

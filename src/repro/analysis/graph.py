@@ -1,6 +1,6 @@
 """Static graph validation: trace a layer stack symbolically, no forward pass.
 
-:func:`trace_layers` walks a list of layer instances with a symbolic
+``_trace_layers`` walks a list of layer instances with a symbolic
 :class:`~repro.analysis.shapes.TensorSpec`, producing a
 :class:`ModelReport` (per-layer shapes, dtypes, parameter counts, memory
 footprints) or raising :class:`~repro.analysis.shapes.GraphValidationError`
@@ -60,17 +60,7 @@ class ModelReport:
     def total_params(self) -> int:
         return sum(rep.params for rep in self.layers)
 
-    def footprint_bytes(self, precision: str = "fp64") -> int:
-        """Estimated parameter memory at a deployment precision."""
-        try:
-            return self.total_params * PRECISION_BYTES[precision]
-        except KeyError:
-            raise ValueError(
-                f"unknown precision {precision!r}; "
-                f"choose from {sorted(PRECISION_BYTES)}"
-            ) from None
-
-    def footprints(self) -> Dict[str, int]:
+    def _footprints(self) -> Dict[str, int]:
         """Parameter memory at every supported precision (bytes)."""
         return {p: self.total_params * b for p, b in PRECISION_BYTES.items()}
 
@@ -86,7 +76,7 @@ class ModelReport:
                 f"{str(rep.output_shape):<20}{rep.params:>10}"
             )
         lines.append("-" * 76)
-        foot = self.footprints()
+        foot = self._footprints()
         lines.append(
             f"total params: {self.total_params}  "
             f"(fp32 {foot['fp32']} B, fp16 {foot['fp16']} B, int8 {foot['int8']} B)"
@@ -102,7 +92,7 @@ class ModelReport:
             "input_dtype": self.input_dtype,
             "output_shape": list(self.output_shape),
             "total_params": self.total_params,
-            "footprint_bytes": self.footprints(),
+            "footprint_bytes": self._footprints(),
             "warnings": list(self.warnings),
             "layers": [
                 {
@@ -120,7 +110,7 @@ class ModelReport:
         }
 
 
-def trace_layers(
+def _trace_layers(
     layers: Sequence, input_shape: Sequence[int], dtype: str = "float64"
 ) -> ModelReport:
     """Symbolically walk a layer stack; raise on the first defect.
@@ -178,7 +168,7 @@ def trace_layers(
 
 def validate_model(model, input_shape: Sequence[int], dtype: str = "float64") -> ModelReport:
     """Validate a :class:`repro.nn.Sequential` without running it."""
-    return trace_layers(model.layers, input_shape, dtype=dtype)
+    return _trace_layers(model.layers, input_shape, dtype=dtype)
 
 
 def validate_config(
@@ -192,7 +182,7 @@ def validate_config(
     from ..nn.checkpoint import model_from_config
 
     model = model_from_config(config)
-    return trace_layers(model.layers, input_shape, dtype=dtype)
+    return _trace_layers(model.layers, input_shape, dtype=dtype)
 
 
 def validate_architecture(
@@ -207,4 +197,4 @@ def validate_architecture(
     from ..core.architecture import cnn_lstm_layers
 
     layers = cnn_lstm_layers(model_config)
-    return trace_layers(layers, input_shape, dtype=dtype)
+    return _trace_layers(layers, input_shape, dtype=dtype)

@@ -33,7 +33,7 @@ def _uri(path: str) -> str:
     return path.replace("\\", "/")
 
 
-def sarif_log(findings: Sequence[Finding]) -> Dict:
+def _sarif_log(findings: Sequence[Finding]) -> Dict:
     """Build a SARIF 2.1.0 log dict from findings.
 
     Every rule is declared in the driver so ``ruleIndex``
@@ -88,4 +88,4 @@ def sarif_log(findings: Sequence[Finding]) -> Dict:
 
 def sarif_report(findings: Sequence[Finding]) -> str:
     """The SARIF log as a JSON string."""
-    return json.dumps(sarif_log(findings), indent=2)
+    return json.dumps(_sarif_log(findings), indent=2)

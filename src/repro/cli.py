@@ -23,21 +23,20 @@ import numpy as np
 
 from .analysis.dataflow.engine import add_arguments as add_analyzer_arguments
 from .analysis.dataflow.engine import run_cli as run_analyzer
-from .core import CLEAR, CLEARConfig, split_new_user
-from .core.persistence import load_system, save_system
-from .datasets import WEMACConfig
-from .datasets.io import load_dataset, save_dataset
-from .scenarios import WEMACScenario
 
-PRESETS = {
-    "tiny": WEMACConfig.tiny,
-    "small": WEMACConfig.small,
-    "paper": lambda seed=0: WEMACConfig(seed=seed),
-}
+# Each handler imports what it runs, so the AST-only analyzer subcommand
+# never loads the scientific stack.
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    config = PRESETS[args.preset](seed=args.seed)
+def _cmd_generate(args: argparse.Namespace) -> int:
+    from .datasets import WEMACConfig
+    from .datasets.io import save_dataset
+    from .scenarios import WEMACScenario
+
+    if args.preset == "paper":
+        config = WEMACConfig(seed=args.seed)
+    else:
+        config = getattr(WEMACConfig, args.preset)(seed=args.seed)
     print(f"generating corpus (preset={args.preset}, seed={args.seed})...")
     dataset = WEMACScenario(config).materialize()
     path = save_dataset(dataset, args.out)
@@ -49,7 +48,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> int:
+    from .core import CLEAR, CLEARConfig
+    from .core.persistence import save_system
+    from .datasets.io import load_dataset
+
     dataset = load_dataset(args.corpus)
     population = {
         s.subject_id: list(s.maps)
@@ -73,12 +76,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _user_maps(args):
+    from .datasets.io import load_dataset
+
     dataset = load_dataset(args.corpus)
     record = dataset.subject(args.subject)
     return record
 
 
-def cmd_assign(args: argparse.Namespace) -> int:
+def _cmd_assign(args: argparse.Namespace) -> int:
+    from .core.persistence import load_system
+
     system = load_system(args.system)
     record = _user_maps(args)
     result = system.assign_new_user(record.maps[: args.maps])
@@ -90,7 +97,9 @@ def cmd_assign(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .core.persistence import load_system
+
     system = load_system(args.system)
     record = _user_maps(args)
     if args.cluster is None:
@@ -108,7 +117,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_personalize(args: argparse.Namespace) -> int:
+def _cmd_personalize(args: argparse.Namespace) -> int:
+    from .core import split_new_user
+    from .core.persistence import load_system
+
     system = load_system(args.system)
     record = _user_maps(args)
     split = split_new_user(
@@ -142,7 +154,7 @@ def _int_tuple(text: str):
         ) from None
 
 
-def cmd_check_model(args: argparse.Namespace) -> int:
+def _cmd_check_model(args: argparse.Namespace) -> int:
     """Statically validate a model graph — no forward pass, no training.
 
     Three sources, checked in this order: a checkpoint (.npz), an
@@ -200,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic WEMAC corpus")
-    p.add_argument("--preset", choices=sorted(PRESETS), default="small")
+    p.add_argument("--preset", choices=["paper", "small", "tiny"], default="small")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output .npz path")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("fit", help="fit the CLEAR cloud stage")
     p.add_argument("--corpus", required=True)
@@ -211,14 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", type=int, default=None, help="held-out subject id")
     p.add_argument("--config", choices=["fast", "paper"], default="fast")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("assign", help="cold-start cluster assignment")
     p.add_argument("--system", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--subject", type=int, required=True)
     p.add_argument("--maps", type=int, default=1, help="unlabeled maps to use")
-    p.set_defaults(func=cmd_assign)
+    p.set_defaults(func=_cmd_assign)
 
     p = sub.add_parser("evaluate", help="evaluate a cluster model on a subject")
     p.add_argument("--system", required=True)
@@ -226,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject", type=int, required=True)
     p.add_argument("--cluster", type=int, default=None)
     p.add_argument("--maps", type=int, default=1)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser(
         "personalize", help="cold start + fine-tune for one subject"
@@ -236,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="save the tuned checkpoint here")
-    p.set_defaults(func=cmd_personalize)
+    p.set_defaults(func=_cmd_personalize)
 
     p = sub.add_parser(
         "check-model",
@@ -271,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="input activation dtype for the dtype-propagation check",
     )
     p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.set_defaults(func=cmd_check_model)
+    p.set_defaults(func=_cmd_check_model)
 
     p = sub.add_parser(
         "check-determinism",

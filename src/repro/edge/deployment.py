@@ -9,17 +9,14 @@ accounting of Table II.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .. import nn
 from ..core.config import FineTuneConfig
 from ..core.trainer import TrainedModel, fine_tune
-from ..errors import CheckpointError
-from ..resilience.retry import Clock, RetryPolicy, retry_call
-from ..signals.feature_map import FeatureMap, FeatureNormalizer, maps_to_arrays
+from ..signals.feature_map import FeatureMap, maps_to_arrays
 from .devices import DeviceProfile
 from .profiler import ModelProfile, profile_model
 from .quantization import QuantizedModel
@@ -70,56 +67,6 @@ class EdgeDeployment:
         self.quantized = QuantizedModel(
             trained.model, scheme=device.scheme, calibration_x=calibration_x
         )
-
-    # -- checkpoint fetch -----------------------------------------------------
-    @classmethod
-    def from_checkpoint(
-        cls,
-        path: Union[str, Path],
-        device: DeviceProfile,
-        normalizer: FeatureNormalizer,
-        calibration_maps: Optional[Sequence[FeatureMap]] = None,
-        fetcher: Optional[Callable[[], None]] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        clock: Optional[Clock] = None,
-        input_shape: Optional[tuple] = None,
-    ) -> "EdgeDeployment":
-        """Deploy a cloud checkpoint file, retrying the fetch if it flakes.
-
-        Models the paper's cloud→edge shipping step: ``fetcher`` (when
-        given) is called before each load attempt and stands in for the
-        actual transfer — raising from it simulates a flaky link, and
-        the load is retried under ``retry_policy`` on the injectable
-        ``clock``.  The fetched file is verified end to end (structure,
-        stored checksum, and — when ``input_shape`` is given — the
-        static graph validator), so a corrupt transfer surfaces as a
-        typed :class:`~repro.errors.CheckpointError`, never as garbage
-        weights quietly deployed.
-        """
-        from ..resilience.guards import verify_checkpoint
-
-        path = Path(path)
-
-        def fetch_and_load() -> TrainedModel:
-            if fetcher is not None:
-                fetcher()
-            verify_checkpoint(path, input_shape=input_shape)
-            from ..nn.checkpoint import load_model
-
-            return TrainedModel(model=load_model(path), normalizer=normalizer)
-
-        if retry_policy is None:
-            # No retry requested: a bad file raises CheckpointError directly.
-            trained = fetch_and_load()
-        else:
-            trained = retry_call(
-                fetch_and_load,
-                policy=retry_policy,
-                clock=clock,
-                retry_on=(CheckpointError, OSError),
-                description=f"checkpoint fetch {path}",
-            )
-        return cls(trained, device, calibration_maps=calibration_maps)
 
     # -- inference ------------------------------------------------------------
     def _prepare(self, maps: Sequence[FeatureMap]) -> tuple:

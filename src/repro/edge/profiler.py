@@ -11,7 +11,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..nn.layers import LSTM, Conv2D, Dense, MaxPool2D, SimpleRNN
+from ..nn.layers import GRU, LSTM, Conv2D, Dense, MaxPool2D, SimpleRNN, TemporalAttention
 from ..nn.model import Sequential
 
 
@@ -77,10 +77,20 @@ def _layer_macs(layer, input_shape: Tuple[int, ...], output_shape: Tuple[int, ..
         t, f = input_shape
         h = layer.units
         return t * 4 * h * (f + h)
+    if isinstance(layer, GRU):
+        t, f = input_shape
+        h = layer.units
+        return t * 3 * h * (f + h)
     if isinstance(layer, SimpleRNN):
         t, f = input_shape
         h = layer.units
         return t * h * (f + h)
+    if isinstance(layer, TemporalAttention):
+        # Per step: the F->A score projection, the A->1 score and the
+        # step's share of the weighted sum over F features.
+        t, f = input_shape
+        a = layer.attention_units
+        return t * (f * a + a + f)
     if isinstance(layer, MaxPool2D):
         # Comparisons, charged as one op per window element.
         c, out_h, out_w = output_shape

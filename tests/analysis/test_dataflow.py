@@ -18,7 +18,7 @@ from repro.analysis.dataflow.engine import _analyze_file
 from repro.analysis.dataflow.hazards import analyze_hazards
 from repro.analysis.dataflow.purity import (
     check_stage_purity,
-    resolve_stage_bindings,
+    _resolve_stage_bindings,
 )
 from repro.analysis.dataflow.summaries import extract_noqa_directives
 from repro.analysis.rules import RULES
@@ -36,8 +36,8 @@ def _analyze(*names):
     return analyze_paths([FIXTURES / name for name in names])
 
 
-def summarize(source, path, module):
-    return summarize_tree(ast.parse(source), path, module=module)
+def summarize(source, path):
+    return summarize_tree(ast.parse(source), path)
 
 
 def main(argv):
@@ -55,7 +55,7 @@ class TestSummaries:
             "    alias = rng\n"
             "    return alias.normal(size=n)\n"
         )
-        summary = summarize(source, "mod.py", module="mod")
+        summary = summarize(source, "mod.py")
         fn = summary.functions["mod.f"]
         assert "rng" in fn.tainted_vars
         assert "alias" in fn.tainted_vars
@@ -70,7 +70,7 @@ class TestSummaries:
             "    rng = np.random.default_rng(seed)\n"
             "    return rng.normal()\n"
         )
-        summary = summarize(source, "mod.py", module="mod")
+        summary = summarize(source, "mod.py")
         fn = summary.functions["mod.f"]
         assert fn.tainted_vars == ()
         assert fn.rng_creations[0].kind == "seeded"
@@ -83,24 +83,24 @@ class TestSummaries:
             "    child = ss.spawn(1)\n"
             "    return child\n"
         )
-        fn = summarize(source, "m.py", module="m").functions["m.f"]
+        fn = summarize(source, "m.py").functions["m.f"]
         assert fn.tainted_vars == ()
         kinds = {c.kind for c in fn.rng_creations}
         assert kinds == {"seeded", "spawn"}
 
     def test_module_level_function_qualname(self):
-        summary = summarize("def top():\n    pass\n", "m.py", module="m")
+        summary = summarize("def top():\n    pass\n", "m.py")
         assert "m.top" in summary.functions
         assert summary.functions["m.top"].is_nested is False
 
     def test_nested_function_marked_nested(self):
         source = "def outer():\n    def inner():\n        pass\n    return inner\n"
-        summary = summarize(source, "m.py", module="m")
+        summary = summarize(source, "m.py")
         assert summary.functions["m.outer.inner"].is_nested is True
 
     def test_methods_are_not_nested(self):
         source = "class C:\n    def m(self):\n        pass\n"
-        summary = summarize(source, "m.py", module="m")
+        summary = summarize(source, "m.py")
         assert summary.functions["m.C.m"].is_nested is False
 
     def test_noqa_in_docstring_is_not_a_directive(self):
@@ -178,24 +178,24 @@ class TestStagePurity:
     def test_every_real_stage_in_runner_is_pure(self):
         analysis = _analyze_file(str(SRC / "experiments" / "runner.py"))
         graph = CallGraph([analysis.summary])
-        bindings = resolve_stage_bindings(graph)
+        bindings = _resolve_stage_bindings(graph)
         # Six experiment graphs register their stages here — including
         # two lambdas; all must resolve, all must verify pure.
         assert len(bindings) >= 9
-        findings = check_stage_purity(graph, bindings)
+        findings = check_stage_purity(graph)
         formatted = "\n".join(f.format_text() for f in findings)
         assert not findings, f"runner stages flagged:\n{formatted}"
 
     def test_core_pipeline_stages_resolve_and_pass(self):
         analysis = _analyze_file(str(SRC / "core" / "pipeline.py"))
         graph = CallGraph([analysis.summary])
-        bindings = resolve_stage_bindings(graph)
+        bindings = _resolve_stage_bindings(graph)
         assert {b.stage_name for b in bindings} >= {
             "global_clustering",
             "subclusters",
             "cluster_models",
         }
-        assert check_stage_purity(graph, bindings) == []
+        assert check_stage_purity(graph) == []
 
 
 # -- cross-process hazards (RPR016-RPR017) --------------------------------

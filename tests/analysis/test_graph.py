@@ -78,16 +78,11 @@ class TestConfigValidation:
 class TestReport:
     def test_footprints_scale_with_precision(self):
         report = validate_architecture(INPUT_SHAPE)
-        foot = report.footprints()
+        foot = report.to_dict()["footprint_bytes"]
         assert set(foot) == set(PRECISION_BYTES)
         assert foot["fp64"] == report.total_params * 8
         assert foot["fp16"] == report.total_params * 2
-        assert report.footprint_bytes("int8") == report.total_params
-
-    def test_unknown_precision_rejected(self):
-        report = validate_architecture(INPUT_SHAPE)
-        with pytest.raises(ValueError, match="precision"):
-            report.footprint_bytes("fp13")
+        assert foot["int8"] == report.total_params
 
     def test_summary_names_every_layer(self):
         report = validate_architecture(INPUT_SHAPE)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.dataflow.engine import analyze_paths, report_text
+from repro.analysis.dataflow.engine import analyze_paths, _report_text
 from repro.analysis.rules import RULES, Finding, check_tree
 from repro.cli import main as cli_main
 
@@ -511,8 +511,8 @@ class TestEngine:
 
     def test_reporters(self, tmp_path, capsys):
         findings = [Finding("a.py", 3, 1, "RPR004", "msg")]
-        assert "a.py:3:1: RPR004 msg" in report_text(findings)
-        assert "clean" in report_text([])
+        assert "a.py:3:1: RPR004 msg" in _report_text(findings)
+        assert "clean" in _report_text([])
         target = tmp_path / "bad.py"
         target.write_text("try:\n    pass\nexcept:\n    pass\n")
         main(["--format", "json", str(target)])

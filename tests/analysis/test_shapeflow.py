@@ -7,7 +7,7 @@ from repro.analysis.dataflow.shapeflow import (
     ArtifactFlowError,
     ArtifactSpec,
     check_stage_flow,
-    specs_compatible,
+    _specs_compatible,
 )
 from repro.core import CLEARConfig, FineTuneConfig, ModelConfig, TrainingConfig
 from repro.datasets import WEMACConfig
@@ -26,36 +26,36 @@ def _consume(ctx, features):
 class TestSpecCompatibility:
     def test_exact_match(self):
         a = ArtifactSpec(shape=(4, 8), dtype="float64")
-        assert specs_compatible(a, a) is None
+        assert _specs_compatible(a, a) is None
 
     def test_wildcard_dim_matches_anything(self):
         produced = ArtifactSpec(shape=(None, 8))
         required = ArtifactSpec(shape=(1024, 8))
-        assert specs_compatible(produced, required) is None
-        assert specs_compatible(required, produced) is None
+        assert _specs_compatible(produced, required) is None
+        assert _specs_compatible(required, produced) is None
 
     def test_rank_mismatch(self):
-        reason = specs_compatible(
+        reason = _specs_compatible(
             ArtifactSpec(shape=(4, 8)), ArtifactSpec(shape=(4, 8, 1))
         )
         assert "rank" in reason
 
     def test_axis_mismatch_names_axis(self):
-        reason = specs_compatible(
+        reason = _specs_compatible(
             ArtifactSpec(shape=(4, 8)), ArtifactSpec(shape=(4, 16))
         )
         assert "axis 1" in reason
 
     def test_dtype_mismatch(self):
-        reason = specs_compatible(
+        reason = _specs_compatible(
             ArtifactSpec(dtype="float32"), ArtifactSpec(dtype="float64")
         )
         assert "dtype" in reason
 
     def test_none_sides_always_match(self):
-        assert specs_compatible(ArtifactSpec(), ArtifactSpec()) is None
+        assert _specs_compatible(ArtifactSpec(), ArtifactSpec()) is None
         assert (
-            specs_compatible(ArtifactSpec(), ArtifactSpec(shape=(3,))) is None
+            _specs_compatible(ArtifactSpec(), ArtifactSpec(shape=(3,))) is None
         )
 
     def test_str_rendering(self):
@@ -134,13 +134,6 @@ class TestGraphBuildTimeCheck:
         graph.add(Stage("train", _consume, requires=("features",)))
         assert len(graph.stages) == 2
 
-    def test_initial_specs_checked_via_function(self):
-        stages = [self._consumer(ArtifactSpec(shape=(None, 16)))]
-        with pytest.raises(ArtifactFlowError):
-            check_stage_flow(
-                stages,
-                initial_specs={"features": ArtifactSpec(shape=(4, 8))},
-            )
 
     def test_checked_edges_reported(self):
         edges = check_stage_flow(

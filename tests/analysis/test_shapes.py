@@ -8,8 +8,8 @@ from repro.analysis import (
     GraphValidationError,
     TensorSpec,
     estimate_param_count,
-    trace_layers,
 )
+from repro.analysis.graph import _trace_layers
 
 RNG = np.random.default_rng(0)
 
@@ -44,7 +44,7 @@ class TestPerLayerInference:
     def test_shape_matches_forward(self, case):
         factory, shape = case
         layer = factory()
-        report = trace_layers([layer], shape)
+        report = _trace_layers([layer], shape)
         x = RNG.normal(size=(2,) + shape)
         layer.ensure_built(x, np.random.default_rng(0))
         layer.training = False
@@ -68,7 +68,7 @@ def test_registry_covers_every_layer_class():
 class TestDefects:
     def test_zero_dim_from_pooling(self):
         with pytest.raises(GraphValidationError, match="pool_b"):
-            trace_layers(
+            _trace_layers(
                 [
                     nn.MaxPool2D((2, 1), name="pool_a"),
                     nn.MaxPool2D((2, 1), name="pool_b"),
@@ -78,19 +78,19 @@ class TestDefects:
 
     def test_valid_conv_shrinks_below_kernel(self):
         with pytest.raises(GraphValidationError, match="non-positive"):
-            trace_layers([nn.Conv2D(2, 5, padding="valid")], (1, 3, 3))
+            _trace_layers([nn.Conv2D(2, 5, padding="valid")], (1, 3, 3))
 
     def test_recurrent_after_flatten(self):
         with pytest.raises(GraphValidationError, match="cannot follow a flattening"):
-            trace_layers([nn.Flatten(), nn.LSTM(4)], (2, 3, 5))
+            _trace_layers([nn.Flatten(), nn.LSTM(4)], (2, 3, 5))
 
     def test_dense_on_unflattened_input(self):
         with pytest.raises(GraphValidationError, match=r"\(features,\)"):
-            trace_layers([nn.Dense(3)], (4, 5))
+            _trace_layers([nn.Dense(3)], (4, 5))
 
     def test_error_carries_layer_context(self):
         try:
-            trace_layers(
+            _trace_layers(
                 [nn.Flatten(name="flat"), nn.GRU(4, name="gru_x")], (2, 3, 5)
             )
         except GraphValidationError as exc:
@@ -103,21 +103,21 @@ class TestDefects:
 
     def test_bad_input_shape_rejected(self):
         with pytest.raises(GraphValidationError, match="zero/negative"):
-            trace_layers([nn.Dense(3)], (0,))
+            _trace_layers([nn.Dense(3)], (0,))
 
     def test_is_a_value_error(self):
         with pytest.raises(ValueError):
-            trace_layers([nn.Flatten(), nn.LSTM(4)], (2, 3, 5))
+            _trace_layers([nn.Flatten(), nn.LSTM(4)], (2, 3, 5))
 
 
 class TestDtypePropagation:
     def test_float64_stays_silent(self):
-        report = trace_layers([nn.Dense(3)], (4,), dtype="float64")
+        report = _trace_layers([nn.Dense(3)], (4,), dtype="float64")
         assert report.warnings == ()
         assert report.layers[0].output_dtype == "float64"
 
     def test_float16_cast_at_input_warns(self):
-        report = trace_layers([nn.ReLU(), nn.Dense(3)], (4,), dtype="float16")
+        report = _trace_layers([nn.ReLU(), nn.Dense(3)], (4,), dtype="float16")
         # The model input casts float16 to float64; every layer keeps it.
         assert report.input_dtype == "float16"
         assert report.layers[0].input_dtype == "float64"
@@ -126,7 +126,7 @@ class TestDtypePropagation:
         assert "casts float16" in report.warnings[0]
 
     def test_float16_promotion_warns(self):
-        report = trace_layers([nn.LSTM(4)], (5, 3), dtype="float16")
+        report = _trace_layers([nn.LSTM(4)], (5, 3), dtype="float16")
         assert report.layers[0].output_dtype == "float64"
         assert len(report.warnings) == 1
 

@@ -110,20 +110,3 @@ class TestCostReports:
         assert (
             tpu.cost_report(test).test_energy_j < ncs2.cost_report(test).test_energy_j
         )
-
-
-class TestFromCheckpointBackend:
-    def test_deploys_on_saved_backend_by_default(self, trained_and_maps, tmp_path):
-        from repro.nn.checkpoint import save_model
-
-        trained, _, test = trained_and_maps
-        path = tmp_path / "cloud.npz"
-        save_model(trained.model, path)
-        dep = EdgeDeployment.from_checkpoint(
-            path, GPU_BASELINE, trained.normalizer
-        )
-        assert dep.trained.model.backend.name == trained.model.backend.name
-        # And the deployed weights really are the checkpoint's.
-        assert dep.evaluate(test) == EdgeDeployment(
-            trained, GPU_BASELINE
-        ).evaluate(test)

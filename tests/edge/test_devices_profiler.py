@@ -134,3 +134,37 @@ class TestCostModelShape:
     def test_training_time_validation(self, profile):
         with pytest.raises(ValueError):
             CORAL_TPU.training_time_s(profile, 0, 5)
+
+
+class TestAblationMacs:
+    """The architecture ablation's MAC column, on the bench map shape."""
+
+    @pytest.mark.parametrize(
+        "overrides, macs, recurrent_macs",
+        [
+            ({"recurrent_cell": "lstm"}, 894_336, 6 * 4 * 32 * (480 + 32)),
+            ({"recurrent_cell": "gru"}, 796_032, 6 * 3 * 32 * (480 + 32)),
+            ({"recurrent_cell": "rnn"}, 599_424, 6 * 32 * (480 + 32)),
+            (
+                {"recurrent_cell": "lstm", "attention_readout": True},
+                897_696,
+                6 * 4 * 32 * (480 + 32),
+            ),
+        ],
+        ids=["lstm", "gru", "rnn", "lstm+attn"],
+    )
+    def test_variant_macs(self, overrides, macs, recurrent_macs):
+        import dataclasses
+
+        from repro.core import CLEARConfig
+
+        config = dataclasses.replace(CLEARConfig.fast(seed=0).model, **overrides)
+        shape = (1, 123, 6)
+        profile = profile_model(build_cnn_lstm(shape, config), shape)
+        by_kind = {layer.kind: layer.macs for layer in profile.layers}
+        assert profile.total_macs == macs
+        cell = {"lstm": "LSTM", "gru": "GRU", "rnn": "SimpleRNN"}
+        assert by_kind[cell[overrides["recurrent_cell"]]] == recurrent_macs
+        if overrides.get("attention_readout"):
+            # T=6 steps over F=32 LSTM features with A=16 attention units.
+            assert by_kind["TemporalAttention"] == 6 * (32 * 16 + 16 + 32)

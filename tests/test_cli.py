@@ -43,7 +43,7 @@ class TestParser:
             ["generate", "--preset", "tiny", "--out", "x.npz"]
         )
         assert args.preset == "tiny"
-        assert args.func.__name__ == "cmd_generate"
+        assert args.func.__name__ == "_cmd_generate"
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(SystemExit):
@@ -221,3 +221,27 @@ class TestCheckModel:
     def test_bad_shape_argument_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check-model", "--input-shape", "1,x,20"])
+
+
+def test_analyzer_does_not_import_scipy():
+    """The AST-only analyzer runs without the scientific stack."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "assert main(['check-determinism', '--list-rules']) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out.strip().splitlines()[-1] == "False"
